@@ -15,6 +15,7 @@
 //! Perfetto / `chrome://tracing`, and appends a metrics-registry section
 //! to the markdown output and `results/` CSVs.
 
+pub mod ablations;
 pub mod bench;
 pub mod chaos;
 pub mod faultsim;
@@ -88,7 +89,8 @@ pub fn run_bin(name: &str, f: impl FnOnce() -> Vec<Table>) {
 /// A figure generator: produces the figure's tables from a fresh world.
 pub type FigFn = fn() -> Vec<Table>;
 
-/// Every figure of the evaluation, in the `all` bin's emission order.
+/// Every figure of the evaluation, plus the LCU ablation table, in the
+/// `all` bin's emission order.
 pub const ALL_FIGS: &[(&str, FigFn)] = &[
     ("fig1", figs::fig1),
     ("fig8", figs::fig8),
@@ -101,6 +103,7 @@ pub const ALL_FIGS: &[(&str, FigFn)] = &[
     ("messages", figs::messages),
     ("swrw", figs::swrw),
     ("summary", figs::summary),
+    ("ablations", ablations::ablations),
 ];
 
 /// Regenerates every figure (the `all` bin's work). With `jobs > 1` the

@@ -247,7 +247,7 @@ pub fn init_from_args() {
 /// by bins that parse their own extra flags via [`parse_cli_partial`]).
 /// `--self-profile <path>` (or the `LOCKSIM_SELF_PROFILE=<path>` env var)
 /// additionally switches on the host-side span profiler; everything else
-/// leaves it disabled, where a span is a single relaxed atomic load.
+/// leaves it disabled, where a span is a single thread-local load.
 pub fn apply_opts(opts: &CliOpts) {
     let self_profile = opts.self_profile.clone().or_else(|| {
         std::env::var_os("LOCKSIM_SELF_PROFILE")

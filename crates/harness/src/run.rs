@@ -377,8 +377,8 @@ pub fn total_acquires(w: &mut World) -> u64 {
         .sum()
 }
 
-/// Scale knob: `LOCKSIM_QUICK=1` shrinks experiments (used by the criterion
-/// benches and smoke tests). `0`, empty, and `false` mean off.
+/// Scale knob: `LOCKSIM_QUICK=1` shrinks experiments (used by the bins'
+/// `--quick` flag and the smoke tests). `0`, empty, and `false` mean off.
 pub fn quick() -> bool {
     match std::env::var("LOCKSIM_QUICK") {
         Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off"),

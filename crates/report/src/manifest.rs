@@ -38,7 +38,7 @@ pub struct HistRow {
     pub count: u64,
     /// Median.
     pub p50: u64,
-    /// 95th percentile (coarse-histogram bucket).
+    /// 95th percentile.
     pub p95: u64,
     /// 99th percentile.
     pub p99: u64,

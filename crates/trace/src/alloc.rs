@@ -1,12 +1,15 @@
 //! Allocation telemetry: a counting global allocator wrapping the system
-//! allocator, feeding the `benchsim` bin's per-scenario allocation deltas.
+//! allocator, feeding per-scenario allocation deltas and heap peaks to the
+//! `benchsim` bin and the standalone `perfbench` benchmark.
 //!
 //! The allocator is only *installed* (via `#[global_allocator]`) in the
-//! bins that want the numbers — `benchsim` — so library users and the test
-//! suite keep the plain system allocator. When installed, every
-//! alloc/dealloc updates a handful of relaxed atomics: total allocation
-//! count and bytes, live bytes, and a peak-live waterline that scenarios
-//! reset between runs ([`reset_peak`]) to get per-phase peaks.
+//! bins that want the numbers, so library users and the test suite keep
+//! the plain system allocator. When installed, every alloc/dealloc updates
+//! a handful of relaxed atomics: total allocation count and bytes, live
+//! bytes, and a peak-live waterline that scenarios reset between runs
+//! ([`reset_peak`]) to get per-phase peaks. The counters are
+//! process-global; only the run-phase window ([`run_phase_start`] /
+//! [`take_run_phase`]) is per-thread.
 //!
 //! ```no_run
 //! // In a bin:
@@ -197,10 +200,21 @@ pub fn take_run_phase() -> Option<AllocSnapshot> {
 mod tests {
     use super::*;
 
+    use std::sync::Mutex;
+
+    /// The counters are process-global and the test harness runs tests
+    /// on parallel threads, so every test that bumps them holds this lock.
+    static COUNTERS: Mutex<()> = Mutex::new(());
+
+    fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     // The allocator is not installed in the test binary, so exercise the
     // counting paths directly.
     #[test]
     fn counting_paths_balance() {
+        let _g = counters_lock();
         let before = snapshot();
         CountingAlloc::on_alloc(100);
         CountingAlloc::on_alloc(50);
@@ -214,6 +228,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water() {
+        let _g = counters_lock();
         CountingAlloc::on_alloc(4096);
         assert!(snapshot().peak_bytes >= 4096);
         CountingAlloc::on_dealloc(4096);

@@ -5,10 +5,9 @@
 
 use std::fmt::Write as _;
 
-use locksim_engine::stats::Histogram;
-
 use crate::chain::LockChain;
 use crate::lockstat::{LockStats, StarvationFlag};
+use crate::sketch::QuantileSketch;
 
 /// One backend's worth of report data.
 pub struct HtmlSeries<'a> {
@@ -172,10 +171,18 @@ fn render_chains_html(out: &mut String, chains: &[LockChain]) {
     out.push_str("</table>\n");
 }
 
-/// Inline SVG bar chart of a power-of-two histogram: one bar per occupied
-/// bucket, height proportional to count, low bound labelled underneath.
-fn svg_hist(out: &mut String, h: &Histogram) {
-    let buckets: Vec<(u64, u64)> = h.iter().collect();
+/// Inline SVG bar chart of a sketch's samples per power-of-two octave:
+/// one bar per occupied octave `[2^k, 2^(k+1))` (0 counts in the first),
+/// height proportional to count, low bound labelled underneath.
+fn svg_hist(out: &mut String, s: &QuantileSketch) {
+    let mut buckets: Vec<(u64, u64)> = Vec::new();
+    for (low, count) in s.buckets() {
+        let octave = 1u64 << low.max(1).ilog2();
+        match buckets.last_mut() {
+            Some((o, c)) if *o == octave => *c += count,
+            _ => buckets.push((octave, count)),
+        }
+    }
     if buckets.is_empty() {
         out.push_str("<p>(empty)</p>\n");
         return;
@@ -279,6 +286,29 @@ mod tests {
         );
         assert!(html.contains("class=\"ok\">OK"), "{html}");
         assert!(!html.contains("STARVED"));
+    }
+
+    #[test]
+    fn svg_bars_sum_sketch_buckets_per_octave() {
+        let mut s = QuantileSketch::new();
+        for v in [0, 1, 2, 3, 40, 63, 1000, 1024] {
+            s.add(v);
+        }
+        let mut out = String::new();
+        svg_hist(&mut out, &s);
+        // Each bar line carries `>count</text>` then `>low</text>`.
+        let bars: Vec<(u64, u64)> = out
+            .lines()
+            .filter(|l| l.starts_with("<rect"))
+            .map(|l| {
+                let v: Vec<u64> = l
+                    .split("</text>")
+                    .filter_map(|t| t.rsplit('>').next()?.parse().ok())
+                    .collect();
+                (v[1], v[0])
+            })
+            .collect();
+        assert_eq!(bars, vec![(1, 2), (2, 2), (32, 2), (512, 1), (1024, 1)]);
     }
 
     #[test]

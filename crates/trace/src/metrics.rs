@@ -1,84 +1,27 @@
-//! The metrics registry: named counters plus latency histograms with
+//! The metrics registry: named counters plus latency sketches with
 //! p50–p99.99 summaries.
 //!
 //! Counters reuse [`locksim_engine::stats::Counters`] (the type every
 //! backend already reports), so the registry slots into the existing
-//! `report_counters()` flow; histograms pair the engine's coarse log-scaled
-//! [`Histogram`] (kept for back-compat with its bucket semantics) with a
-//! fine-grained [`QuantileSketch`] that bounds relative quantile error and
-//! extends the readout into the p99.9/p99.99 tail. A [`MetricsSnapshot`]
-//! is an owned, deterministic rendering of all of it — used by the harness
-//! for its metrics tables, by the run-manifest ledger (which embeds the
-//! serialized sketches), and by the golden determinism tests, which compare
-//! snapshots byte-for-byte.
+//! `report_counters()` flow; each latency metric is one
+//! [`QuantileSketch`], which bounds relative quantile error and reads the
+//! whole p50–p99.99 tail from one estimator, so a summary's quantiles are
+//! always monotone. A [`MetricsSnapshot`] is an owned, deterministic
+//! rendering of all of it — used by the harness for its metrics tables,
+//! by the run-manifest ledger (which embeds the serialized sketches), and
+//! by the golden determinism tests, which compare snapshots byte-for-byte.
 
 use std::collections::BTreeMap;
 
-use locksim_engine::stats::{Counters, Histogram};
+use locksim_engine::stats::Counters;
 
-use crate::sketch::{QuantileSketch, TailSummary};
+use crate::sketch::QuantileSketch;
 
-/// A named latency histogram summarised by count and approximate quantiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHist {
-    hist: Histogram,
-    sketch: QuantileSketch,
-}
-
-impl LatencyHist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHist {
-            hist: Histogram::new(),
-            sketch: QuantileSketch::new(),
-        }
-    }
-
-    /// Records one latency sample (in cycles).
-    pub fn observe(&mut self, cycles: u64) {
-        self.hist.add(cycles);
-        self.sketch.add(cycles);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Approximate quantile from the coarse power-of-two histogram (bucket
-    /// low bound); `None` when empty. Kept for the order-of-magnitude
-    /// tables; tail readouts use [`LatencyHist::tail_summary`].
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.hist.quantile(q)
-    }
-
-    /// The underlying log-scaled histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// The fine-grained quantile sketch (bounded relative error).
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-
-    /// The standard p50–p99.99 tail readout, from the sketch.
-    pub fn tail_summary(&self) -> TailSummary {
-        self.sketch.tail_summary()
-    }
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Central store for a run's counters and latency histograms.
+/// Central store for a run's counters and latency sketches.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Counters,
-    hists: BTreeMap<&'static str, LatencyHist>,
+    hists: BTreeMap<&'static str, QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -110,16 +53,16 @@ impl MetricsRegistry {
     /// Records a latency sample into histogram `name`.
     pub fn observe(&mut self, name: &'static str, cycles: u64) {
         crate::prof::count("metrics/hist_samples", 1);
-        self.hists.entry(name).or_default().observe(cycles);
+        self.hists.entry(name).or_default().add(cycles);
     }
 
     /// Histogram `name`, if any samples were recorded.
-    pub fn hist(&self, name: &str) -> Option<&LatencyHist> {
+    pub fn hist(&self, name: &str) -> Option<&QuantileSketch> {
         self.hists.get(name)
     }
 
     /// Iterates `(name, histogram)` in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &LatencyHist)> + '_ {
+    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &QuantileSketch)> + '_ {
         self.hists.iter().map(|(&k, v)| (k, v))
     }
 
@@ -150,7 +93,7 @@ impl MetricsRegistry {
         let sketches = self
             .hists
             .iter()
-            .map(|(&name, h)| (name.to_string(), h.sketch().to_text()))
+            .map(|(&name, h)| (name.to_string(), h.to_text()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -160,24 +103,24 @@ impl MetricsRegistry {
     }
 }
 
-/// Quantile summary of one named histogram. `p95` keeps the coarse
-/// power-of-two histogram's bucket semantics (legacy tables depend on it);
-/// the other quantiles come from the fine-grained sketch.
+/// Quantile summary of one named histogram, every quantile read from its
+/// sketch (≤3.1% relative error, exact below 32), so
+/// `p50 ≤ p95 ≤ p99 ≤ p999 ≤ p9999 ≤ max` always holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSummary {
     /// Histogram name.
     pub name: &'static str,
     /// Number of samples.
     pub count: u64,
-    /// Median (sketch, ≤3.1% relative error).
+    /// Median.
     pub p50: u64,
-    /// 95th percentile (power-of-two bucket low bound).
+    /// 95th percentile.
     pub p95: u64,
-    /// 99th percentile (sketch).
+    /// 99th percentile.
     pub p99: u64,
-    /// 99.9th percentile (sketch).
+    /// 99.9th percentile.
     pub p999: u64,
-    /// 99.99th percentile (sketch).
+    /// 99.99th percentile.
     pub p9999: u64,
     /// Largest sample (exact).
     pub max: u64,
@@ -228,23 +171,29 @@ mod tests {
         let h = m.hist("wait").unwrap();
         assert_eq!(h.count(), 10);
         assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(0.99), Some(512));
+        // 1000 lands in the sketch bucket [992, 1008).
+        assert_eq!(h.quantile(0.99), Some(992));
     }
 
     #[test]
-    fn quantile_edge_cases() {
-        let empty = LatencyHist::new();
-        assert_eq!(empty.quantile(0.5), None);
-        let mut one = LatencyHist::new();
-        one.observe(7);
-        // A single sample is every quantile, including the extremes.
-        assert_eq!(one.quantile(0.0), Some(4));
-        assert_eq!(one.quantile(0.5), Some(4));
-        assert_eq!(one.quantile(1.0), Some(4));
-        let mut zeros = LatencyHist::new();
-        zeros.observe(0);
-        zeros.observe(0);
-        assert_eq!(zeros.quantile(0.99), Some(1)); // bucket 0 renders low bound 1
+    fn snapshot_edge_cases() {
+        let summary = |samples: &[u64]| {
+            let mut m = MetricsRegistry::new();
+            for &v in samples {
+                m.observe("lat", v);
+            }
+            m.snapshot([]).hists
+        };
+        assert!(summary(&[]).is_empty());
+        // A single sample is every quantile.
+        let one = summary(&[7])[0];
+        assert_eq!(
+            [one.p50, one.p95, one.p99, one.p999, one.p9999, one.max],
+            [7; 6]
+        );
+        // Zeros are recorded exactly, not rounded up to a bucket bound.
+        let zeros = summary(&[0, 0])[0];
+        assert_eq!((zeros.count, zeros.p95, zeros.max), (2, 0, 0));
     }
 
     #[test]
@@ -283,11 +232,18 @@ mod tests {
         }
         let snap = m.snapshot([]);
         let h = &snap.hists[0];
-        // The coarse histogram would round p50 down to 4096; the sketch
-        // stays within 1/32 of the true 5000.
+        // A power-of-two histogram would round p50 down to 4096; the
+        // sketch stays within 1/32 of the true 5000.
         assert!(h.p50 >= 4992 && h.p50 <= 5000, "p50={}", h.p50);
+        assert!(h.p95 >= 9216 && h.p95 <= 9500, "p95={}", h.p95);
         assert!(h.p999 >= 9900 && h.p999 <= 9990, "p999={}", h.p999);
         assert_eq!(h.max, 10_000);
-        assert!(h.p50 <= h.p99 && h.p99 <= h.p999 && h.p999 <= h.p9999 && h.p9999 <= h.max);
+        assert!(
+            h.p50 <= h.p95
+                && h.p95 <= h.p99
+                && h.p99 <= h.p999
+                && h.p999 <= h.p9999
+                && h.p9999 <= h.max
+        );
     }
 }

@@ -12,17 +12,20 @@
 //!
 //! Profiling is opt-in ([`enable`], the harness `--self-profile` flag, or
 //! the `LOCKSIM_SELF_PROFILE` env var). When disabled — the default —
-//! [`span`] and [`count`] are one relaxed atomic load and a predictable
-//! branch: no clock read, no allocation, no thread-local access. Host-time
+//! [`span`] and [`count`] are one load of a constant-initialised
+//! thread-local flag and a predictable branch: no clock read, no
+//! allocation, no lazy thread-local set-up. Host-time
 //! measurement never feeds back into the simulation, so simulated outputs
 //! are byte-identical with profiling on or off (a golden test in the
 //! harness pins this).
 //!
 //! # Threading
 //!
-//! The enable flag is process-global; span/counter data is thread-local
-//! (the simulator is single-threaded per world). [`report`] and
-//! [`take_report`] return the calling thread's data only.
+//! The enable flag and the span/counter data are both thread-local (the
+//! simulator is single-threaded per world): [`enable`] and [`disable`]
+//! switch recording for the calling thread only, so concurrent threads —
+//! parallel tests, sweep workers — never flip each other's profiler.
+//! [`report`] and [`take_report`] return the calling thread's data only.
 //!
 //! # Example
 //!
@@ -44,28 +47,29 @@
 //! assert!(report.collapsed().contains("run;step"));
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Whether span/counter recording is currently on.
+/// Whether span/counter recording is currently on for the calling thread.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Turns recording on (process-global flag, thread-local data).
+/// Turns recording on for the calling thread.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(true));
 }
 
-/// Turns recording off; already-aggregated data stays until [`reset`] or
-/// [`take_report`].
+/// Turns recording off for the calling thread; already-aggregated data
+/// stays until [`reset`] or [`take_report`].
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(false));
 }
 
 /// Discards the calling thread's aggregated data and span stack.
@@ -164,7 +168,7 @@ pub struct Span {
 }
 
 /// Opens a scoped span named `name` under the innermost open span of this
-/// thread. When profiling is disabled this is one atomic load.
+/// thread. When profiling is disabled this is one thread-local load.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
@@ -190,7 +194,8 @@ impl Drop for Span {
     }
 }
 
-/// Adds `n` to profiler counter `name`. One atomic load when disabled.
+/// Adds `n` to profiler counter `name`. One thread-local load when
+/// disabled.
 #[inline]
 pub fn count(name: &'static str, n: u64) {
     if !enabled() {
@@ -333,8 +338,8 @@ pub fn take_report() -> ProfileReport {
 mod tests {
     use super::*;
 
-    /// The global flag is shared by tests in this binary, so each test
-    /// fully brackets its enable window and resets first.
+    /// Each test starts from a disabled, empty profiler (a test may run on
+    /// a thread an earlier test used, e.g. under `--test-threads=1`).
     fn fresh() {
         disable();
         reset();
@@ -422,6 +427,25 @@ mod tests {
         disable();
         assert!(!take_report().is_empty());
         assert!(take_report().is_empty());
+    }
+
+    #[test]
+    fn enable_flag_is_per_thread() {
+        fresh();
+        enable();
+        std::thread::spawn(|| {
+            assert!(!enabled(), "a new thread starts disabled");
+            enable();
+            disable();
+        })
+        .join()
+        .unwrap();
+        assert!(enabled(), "another thread's disable() must not reach here");
+        {
+            let _s = span("still_on");
+        }
+        disable();
+        assert!(take_report().span("still_on").is_some());
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! HDR-style mergeable quantile sketch with bounded relative error.
+//! HDR-style mergeable quantile sketch with bounded relative error: the
+//! simulator's one quantile estimator.
 //!
-//! The engine's [`locksim_engine::stats::Histogram`] buckets by powers of
-//! two, so a p99 readout can be off by almost 2×: fine for order-of-
-//! magnitude tables, useless for a tail-latency story where p99 and p99.9
-//! differ by 30%. A [`QuantileSketch`] splits every octave into
-//! `2^K` linear sub-buckets, giving every quantile a guaranteed relative
-//! error of at most `2^-K` (values below `2^K` are recorded exactly).
+//! A plain power-of-two histogram can be off by almost 2× at p99: fine
+//! for order-of-magnitude tables, useless for a tail-latency story where
+//! p99 and p99.9 differ by 30%. A [`QuantileSketch`] splits every octave
+//! into `2^K` linear sub-buckets, giving every quantile a guaranteed
+//! relative error of at most `2^-K` (values below `2^K` are recorded
+//! exactly). Every p50–p99.99 readout in the repo — metrics snapshots,
+//! run manifests, lockstat tables and reports — comes from a sketch, so
+//! quantiles read off one sample set are always monotone.
 //!
 //! Sketches are **mergeable** — bucket counts add, so per-window or
 //! per-shard sketches combine into a run-level sketch without reordering
@@ -119,8 +122,7 @@ impl QuantileSketch {
     }
 
     /// The q-quantile: low bound of the bucket holding the
-    /// `ceil(q·count)`-th smallest sample (same rank rule as the engine
-    /// histogram). Underestimates by at most a factor of `2^-K`; exact for
+    /// `ceil(q·count)`-th smallest sample. Underestimates by at most a factor of `2^-K`; exact for
     /// values below `2^K`. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
@@ -136,6 +138,13 @@ impl QuantileSketch {
             }
         }
         Some(self.max)
+    }
+
+    /// Iterates `(bucket low bound, count)` over non-empty buckets in
+    /// increasing order. Every bucket lies inside one power-of-two octave,
+    /// so summing by octave yields an exact power-of-two histogram.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets.iter().map(|(&ix, &c)| (low(ix), c))
     }
 
     /// Folds another sketch into this one. Associative and commutative:
@@ -276,6 +285,8 @@ mod tests {
             assert!(lo <= v, "low({ix})={lo} > v={v}");
             // The bucket's width never exceeds the error bound.
             assert!(v - lo <= lo / SUBS, "v={v} lo={lo}");
+            // No bucket straddles a power-of-two octave (0 shares 1's).
+            assert_eq!(v.max(1).ilog2(), lo.max(1).ilog2(), "v={v} lo={lo}");
             if let Some((pv, pix)) = prev {
                 assert!(pv <= v && pix <= ix, "monotonicity");
             }
@@ -398,6 +409,17 @@ mod tests {
                 "{est} vs {exact}"
             );
         }
+    }
+
+    #[test]
+    fn buckets_iterate_in_order_and_sum_to_count() {
+        let mut s = QuantileSketch::new();
+        for v in [5, 0, 1000, 5, 33, 1001] {
+            s.add(v);
+        }
+        let b: Vec<(u64, u64)> = s.buckets().collect();
+        assert_eq!(b, vec![(0, 1), (5, 2), (33, 1), (992, 2)]);
+        assert_eq!(b.iter().map(|&(_, c)| c).sum::<u64>(), s.count());
     }
 
     #[test]
