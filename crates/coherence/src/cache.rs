@@ -1,6 +1,6 @@
 //! L1 cache controller.
 
-use std::collections::HashMap;
+use locksim_engine::stats::FxHashMap;
 
 use crate::types::{CacheId, CacheState, CacheToDir, CpuOp, DirToCache, LineAddr, ReqKind};
 
@@ -53,7 +53,7 @@ struct Line {
 #[derive(Debug)]
 pub struct CacheCtrl {
     id: CacheId,
-    lines: HashMap<LineAddr, Line>,
+    lines: FxHashMap<LineAddr, Line>,
     hits: u64,
     misses: u64,
 }
@@ -63,7 +63,7 @@ impl CacheCtrl {
     pub fn new(id: CacheId) -> Self {
         CacheCtrl {
             id,
-            lines: HashMap::new(),
+            lines: FxHashMap::default(),
             hits: 0,
             misses: 0,
         }

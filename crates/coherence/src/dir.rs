@@ -1,8 +1,8 @@
 //! Home directory controller.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use locksim_engine::stats::Counters;
+use locksim_engine::stats::{Counters, FxHashMap};
 
 use crate::types::{CacheId, CacheToDir, DirId, DirToCache, LineAddr, ReqKind};
 
@@ -65,7 +65,7 @@ impl Default for DirLine {
 #[derive(Debug)]
 pub struct DirCtrl {
     id: DirId,
-    lines: HashMap<LineAddr, DirLine>,
+    lines: FxHashMap<LineAddr, DirLine>,
     counters: Counters,
 }
 
@@ -74,7 +74,7 @@ impl DirCtrl {
     pub fn new(id: DirId) -> Self {
         DirCtrl {
             id,
-            lines: HashMap::new(),
+            lines: FxHashMap::default(),
             counters: Counters::new(),
         }
     }

@@ -2,9 +2,9 @@
 //! per-core LCU tables and per-memory-controller LRTs into the machine's
 //! event loop.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use locksim_engine::stats::Counters;
+use locksim_engine::stats::{Counters, FxHashMap};
 use locksim_engine::Cycles;
 use locksim_machine::{
     Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload,
@@ -84,9 +84,9 @@ pub struct LcuBackend {
     /// Ordered so eviction picks a deterministic victim — a `HashMap` here
     /// made same-seed runs diverge across processes.
     flts: Vec<BTreeMap<Addr, (ThreadId, u64)>>,
-    reqs: HashMap<ThreadId, Req>,
-    held: HashMap<(ThreadId, Addr), Held>,
-    timers: HashMap<u64, TimerKind>,
+    reqs: FxHashMap<ThreadId, Req>,
+    held: FxHashMap<(ThreadId, Addr), Held>,
+    timers: FxHashMap<u64, TimerKind>,
     timer_seq: u64,
     counters: Counters,
     checker: Checker,
@@ -107,9 +107,9 @@ impl LcuBackend {
             lcus: Vec::new(),
             lrts: Vec::new(),
             flts: Vec::new(),
-            reqs: HashMap::new(),
-            held: HashMap::new(),
-            timers: HashMap::new(),
+            reqs: FxHashMap::default(),
+            held: FxHashMap::default(),
+            timers: FxHashMap::default(),
             timer_seq: 0,
             counters: Counters::new(),
             checker: Checker::new(),
@@ -1718,7 +1718,9 @@ impl LockBackend for LcuBackend {
                 .ok();
             }
         }
-        for (t, r) in &self.reqs {
+        let mut reqs: Vec<_> = self.reqs.iter().collect();
+        reqs.sort_unstable_by_key(|&(t, _)| t);
+        for (t, r) in reqs {
             writeln!(
                 out,
                 "req {t:?}: addr={} mode={:?} core={} reissue={}",
@@ -1731,7 +1733,9 @@ impl LockBackend for LcuBackend {
                 writeln!(out, "FLT{i}: {a} parked by {t:?} cnt={cnt}").ok();
             }
         }
-        for ((t, a), h) in &self.held {
+        let mut held: Vec<_> = self.held.iter().collect();
+        held.sort_unstable_by_key(|&(k, _)| k);
+        for ((t, a), h) in held {
             writeln!(
                 out,
                 "held {t:?} {a}: mode={:?} overflow={} cnt={}",

@@ -6,7 +6,6 @@
 //! bars), so this module provides [`Summary`] for cross-run aggregation and
 //! [`Running`] for intra-run accumulation.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -191,9 +190,12 @@ impl fmt::Display for Summary {
 }
 
 /// A fast non-cryptographic hasher (the FxHash multiply-rotate scheme) for
-/// `&'static str` counter keys. Counter bumps sit on the per-event hot path
-/// of the simulator, where SipHash and ordered-map string compares both
-/// showed up in the self-profiler.
+/// every simulated-state map: counter names, line and lock addresses,
+/// thread ids, timer ids. Those lookups sit on the per-event hot path of
+/// the simulator, where SipHash showed up in the self-profiler. The keys are
+/// simulator-internal, so hash flooding is not a concern, and the hasher is
+/// unseeded, so iteration order is the same in every process — but no
+/// output may depend on it; use an ordered container where order matters.
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -235,6 +237,11 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]-keyed maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// The hash map for simulated state (construct with `default()`). The
+/// one place the std map may be named; `clippy.toml` disallows it elsewhere.
+#[allow(clippy::disallowed_types)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
 /// A named bundle of monotonically increasing event counters.
 ///
 /// Components count protocol events (messages sent, retries, grants,
@@ -243,7 +250,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// sorts by name so every rendered report stays deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    map: HashMap<&'static str, u64, FxBuildHasher>,
+    map: FxHashMap<&'static str, u64>,
 }
 
 impl Counters {

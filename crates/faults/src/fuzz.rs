@@ -14,11 +14,11 @@
 //!   [`FaultPlan::validate`] by construction: thread/core ids are drawn
 //!   below the case's own counts, `wire-delay` periods are ≥ 1, a `resume`
 //!   is only emitted for a thread with a preceding *indefinite* suspend
-//!   (and, for exact-cycle pairs, never earlier than it), and every exact
-//!   trigger fires before the deadline, and workloads are compatible with
-//!   their backend (writer-only locks never see read-mode acquires). The
-//!   fuzzer explores schedules, not the parser's error paths — those have
-//!   their own tests.
+//!   (and never earlier than the thread's latest exact-cycle suspend, which
+//!   may be a later timed one), every exact trigger fires before the
+//!   deadline, and workloads are compatible with their backend
+//!   (writer-only locks never see read-mode acquires). The fuzzer explores
+//!   schedules, not the parser's error paths — those have their own tests.
 
 use crate::plan::{FaultPlan, Inject, Trigger};
 use locksim_engine::RngStream;
@@ -141,6 +141,9 @@ fn gen_plan(rng: &mut RngStream, cfg: &FuzzConfig, n_threads: u32) -> FaultPlan 
     // fires at (None for conditional triggers): the only legal resume
     // targets, per the validation rules.
     let mut resumable: Vec<(u32, Option<u64>)> = Vec::new();
+    // Cycle of each thread's latest suspend of either kind (None if it was
+    // conditional or there was none): the bar `validate` holds a resume to.
+    let mut latest_suspend: Vec<Option<u64>> = vec![None; n_threads as usize];
     // Exact triggers stay in the first three quarters of the run so the
     // injection has room to matter before the deadline cuts it off.
     let trigger_cap = deadline * 3 / 4;
@@ -181,6 +184,10 @@ fn gen_plan(rng: &mut RngStream, cfg: &FuzzConfig, n_threads: u32) -> FaultPlan 
         let ev = match kind {
             "suspend" => {
                 let trig = trigger(rng, thread);
+                latest_suspend[thread as usize] = match trig {
+                    Trigger::AtCycle(c) => Some(c),
+                    _ => None,
+                };
                 let duration = if rng.chance(0.3) {
                     // Indefinite: arms a later resume (or a wedge, if none
                     // follows and the queue depends on this thread).
@@ -201,7 +208,15 @@ fn gen_plan(rng: &mut RngStream, cfg: &FuzzConfig, n_threads: u32) -> FaultPlan 
                 let (t, susp_at) = resumable[rng.below(resumable.len() as u64) as usize];
                 // Never earlier than an exact-cycle suspend partner.
                 let lo = susp_at.unwrap_or(0);
-                let at = lo + rng.below(trigger_cap.saturating_sub(lo).max(1));
+                let offset = rng.below(trigger_cap.saturating_sub(lo).max(1));
+                let mut at = lo + offset;
+                // Nor than a later timed suspend of the same thread: re-base
+                // onto it with the same draw, so plans that already
+                // validated are unchanged. `c < trigger_cap` (exact triggers
+                // are drawn below it), so the modulus is non-zero.
+                if let Some(c) = latest_suspend[t as usize].filter(|&c| at < c) {
+                    at = c + offset % (trigger_cap - c);
+                }
                 (Trigger::AtCycle(at), Inject::Resume { thread: t })
             }
             "migrate" => (

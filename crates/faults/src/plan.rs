@@ -45,12 +45,17 @@ pub enum PlanError {
         n_cores: u32,
     },
     /// A `resume` has no preceding `suspend` of the same thread (or, with
-    /// exact-cycle triggers, would fire before it), so it could never apply.
+    /// exact-cycle triggers, would fire before the latest one), so it could
+    /// never apply.
     ResumeBeforeSuspend {
         /// Index of the offending resume event in plan order.
         event: usize,
         /// The thread the resume targets.
         thread: u32,
+        /// The thread's latest preceding suspend as `(event index, cycle)`
+        /// when the resume fires before it; `None` when no suspend of the
+        /// thread precedes the resume.
+        latest_suspend: Option<(usize, u64)>,
     },
 }
 
@@ -73,9 +78,22 @@ impl fmt::Display for PlanError {
                 f,
                 "event {event}: core {core} out of range (machine has {n_cores} cores)"
             ),
-            PlanError::ResumeBeforeSuspend { event, thread } => write!(
+            PlanError::ResumeBeforeSuspend {
+                event,
+                thread,
+                latest_suspend: None,
+            } => write!(
                 f,
                 "event {event}: resume of thread {thread} precedes any suspend of it"
+            ),
+            PlanError::ResumeBeforeSuspend {
+                event,
+                thread,
+                latest_suspend: Some((susp_event, susp_cycle)),
+            } => write!(
+                f,
+                "event {event}: resume of thread {thread} fires before its latest suspend \
+                 (event {susp_event}, at cycle {susp_cycle})"
             ),
         }
     }
@@ -298,13 +316,15 @@ impl FaultPlan {
     /// Checks the plan against a concrete machine shape: every referenced
     /// thread id must be `< n_threads`, every core id `< n_cores`, and every
     /// `resume` must be preceded (in plan order — the order injections are
-    /// applied) by a `suspend` of the same thread; when both carry exact
-    /// cycle triggers the resume must not fire strictly earlier. The first
+    /// applied) by a `suspend` of the same thread; when the resume and the
+    /// thread's latest preceding suspend both carry exact cycle triggers, the
+    /// resume must not fire strictly earlier than that suspend. The first
     /// defect found is returned.
     pub fn validate(&self, n_threads: u32, n_cores: u32) -> Result<(), PlanError> {
-        // Latest preceding suspend per thread: Some(cycle) for an exact
-        // trigger, None for a conditional one (cycle unknowable statically).
-        let mut suspended_at: std::collections::BTreeMap<u32, Option<u64>> =
+        // Latest preceding suspend per thread: its event index, and
+        // Some(cycle) for an exact trigger, None for a conditional one
+        // (cycle unknowable statically).
+        let mut suspended_at: std::collections::BTreeMap<u32, (usize, Option<u64>)> =
             std::collections::BTreeMap::new();
         for (i, ev) in self.events.iter().enumerate() {
             let thread_ok = |thread: u32| {
@@ -342,21 +362,25 @@ impl FaultPlan {
                         Trigger::AtCycle(c) => Some(c),
                         _ => None,
                     };
-                    suspended_at.insert(thread, at);
+                    suspended_at.insert(thread, (i, at));
                 }
                 Inject::Resume { thread } => {
                     thread_ok(thread)?;
-                    let err = PlanError::ResumeBeforeSuspend { event: i, thread };
+                    let err = |latest_suspend| PlanError::ResumeBeforeSuspend {
+                        event: i,
+                        thread,
+                        latest_suspend,
+                    };
                     match suspended_at.get(&thread) {
-                        None => return Err(err),
-                        Some(&Some(susp_cycle)) => {
+                        None => return Err(err(None)),
+                        Some(&(susp_event, Some(susp_cycle))) => {
                             if let Trigger::AtCycle(c) = ev.trigger {
                                 if c < susp_cycle {
-                                    return Err(err);
+                                    return Err(err(Some((susp_event, susp_cycle))));
                                 }
                             }
                         }
-                        Some(&None) => {}
+                        Some(&(_, None)) => {}
                     }
                 }
                 Inject::Migrate { thread, to_core } => {
@@ -694,6 +718,27 @@ at 50000 wire-clear
             Err(PlanError::ResumeBeforeSuspend {
                 event: 0,
                 thread: 1,
+                latest_suspend: None,
+            })
+        );
+        // A later timed suspend of the thread moves the bar: the resume is
+        // checked against the latest suspend, not the indefinite one.
+        let p = FaultPlan::new()
+            .event(
+                Trigger::AtCycle(30_553),
+                Inject::Suspend {
+                    thread: 3,
+                    duration: None,
+                },
+            )
+            .suspend_at(705_195, 3, 48_967)
+            .event(Trigger::AtCycle(180_099), Inject::Resume { thread: 3 });
+        assert_eq!(
+            p.validate(4, 4),
+            Err(PlanError::ResumeBeforeSuspend {
+                event: 2,
+                thread: 3,
+                latest_suspend: Some((1, 705_195)),
             })
         );
         // Exact-cycle resume strictly before its exact-cycle suspend.
@@ -734,8 +779,21 @@ at 50000 wire-clear
         let e = PlanError::ResumeBeforeSuspend {
             event: 0,
             thread: 3,
+            latest_suspend: None,
         };
         assert!(e.to_string().contains("resume of thread 3"));
+        // A resume refused for firing before a later timed suspend names
+        // that suspend, not "any suspend".
+        let e = PlanError::ResumeBeforeSuspend {
+            event: 2,
+            thread: 3,
+            latest_suspend: Some((1, 705_195)),
+        };
+        assert_eq!(
+            e.to_string(),
+            "event 2: resume of thread 3 fires before its latest suspend \
+             (event 1, at cycle 705195)"
+        );
     }
 
     #[test]

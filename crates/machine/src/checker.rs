@@ -4,8 +4,7 @@
 //! protocol bug that violates mutual exclusion aborts the simulation at the
 //! exact violating grant instead of corrupting results downstream.
 
-use std::collections::HashMap;
-
+use locksim_engine::stats::FxHashMap;
 use locksim_trace::{LockStats, Tracer};
 
 use crate::addr::Addr;
@@ -53,8 +52,8 @@ fn abort_dump_records() -> usize {
 /// ```
 #[derive(Debug, Default)]
 pub struct Checker {
-    writer: HashMap<Addr, ThreadId>,
-    readers: HashMap<Addr, Vec<ThreadId>>,
+    writer: FxHashMap<Addr, ThreadId>,
+    readers: FxHashMap<Addr, Vec<ThreadId>>,
     /// Highest number of concurrent readers observed on any lock.
     pub max_concurrent_readers: usize,
     /// Total grants checked.

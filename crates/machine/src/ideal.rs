@@ -8,9 +8,9 @@
 //!    scheduler interaction) independent of any real protocol, and
 //! 2. the lower-bound "perfect lock" baseline in ablation benches.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use locksim_engine::stats::Counters;
+use locksim_engine::stats::{Counters, FxHashMap};
 use locksim_engine::Cycles;
 
 use crate::addr::Addr;
@@ -40,7 +40,7 @@ impl LockState {
 /// barging), so writers cannot starve.
 #[derive(Debug, Default)]
 pub struct IdealBackend {
-    locks: HashMap<Addr, LockState>,
+    locks: FxHashMap<Addr, LockState>,
     counters: Counters,
 }
 

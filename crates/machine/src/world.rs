@@ -2,13 +2,13 @@
 //! thread scheduling, and backend services.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use locksim_coherence::{
     CacheAction, CacheCtrl, CacheId, CacheOpResult, CacheState, CacheToDir, CpuOp, DirAction,
     DirCtrl, DirId, DirToCache, LineAddr,
 };
-use locksim_engine::stats::Counters;
+use locksim_engine::stats::{Counters, FxHashMap};
 use locksim_engine::{Cycles, RngStream, Simulator, Time};
 use locksim_topo::{MsgClass, Network, NodeId};
 use locksim_trace::{
@@ -276,13 +276,13 @@ pub struct Mach {
     net: Network,
     caches: Vec<CacheCtrl>,
     dirs: Vec<DirCtrl>,
-    mem_values: HashMap<Addr, u64>,
+    mem_values: FxHashMap<Addr, u64>,
     threads: Vec<ThreadState>,
     cores: Vec<Option<ThreadId>>,
     ready: VecDeque<ThreadId>,
-    pending_mem: HashMap<(usize, LineAddr), PendingMem>,
-    mem_waitq: HashMap<(usize, LineAddr), VecDeque<PendingMem>>,
-    watchers: HashMap<(usize, LineAddr), Vec<ThreadId>>,
+    pending_mem: FxHashMap<(usize, LineAddr), PendingMem>,
+    mem_waitq: FxHashMap<(usize, LineAddr), VecDeque<PendingMem>>,
+    watchers: FxHashMap<(usize, LineAddr), Vec<ThreadId>>,
     alloc: Alloc,
     metrics: MetricsRegistry,
     tracer: Tracer,
@@ -1023,13 +1023,13 @@ impl World {
                 net,
                 caches,
                 dirs,
-                mem_values: HashMap::new(),
+                mem_values: FxHashMap::default(),
                 threads: Vec::new(),
                 cores: vec![None; n_cores],
                 ready: VecDeque::new(),
-                pending_mem: HashMap::new(),
-                mem_waitq: HashMap::new(),
-                watchers: HashMap::new(),
+                pending_mem: FxHashMap::default(),
+                mem_waitq: FxHashMap::default(),
+                watchers: FxHashMap::default(),
                 alloc: Alloc::new(),
                 metrics: MetricsRegistry::new(),
                 tracer: Tracer::new(),

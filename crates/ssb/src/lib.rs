@@ -33,9 +33,7 @@
 //! w.run_to_completion();
 //! ```
 
-use std::collections::HashMap;
-
-use locksim_engine::stats::Counters;
+use locksim_engine::stats::{Counters, FxHashMap};
 use locksim_engine::{Cycles, Time};
 use locksim_machine::{Addr, Checker, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
 use locksim_topo::MsgClass;
@@ -94,9 +92,9 @@ struct Pending {
 /// The SSB lock backend. See the crate docs.
 #[derive(Debug, Default)]
 pub struct SsbBackend {
-    banks: Vec<HashMap<Addr, SsbState>>,
-    pending: HashMap<ThreadId, Pending>,
-    retry_timers: HashMap<u64, ThreadId>,
+    banks: Vec<FxHashMap<Addr, SsbState>>,
+    pending: FxHashMap<ThreadId, Pending>,
+    retry_timers: FxHashMap<u64, ThreadId>,
     timer_seq: u64,
     counters: Counters,
     checker: Checker,
@@ -110,7 +108,7 @@ impl SsbBackend {
 
     fn ensure_init(&mut self, m: &Mach) {
         if self.banks.is_empty() {
-            self.banks = (0..m.n_mems()).map(|_| HashMap::new()).collect();
+            self.banks = (0..m.n_mems()).map(|_| FxHashMap::default()).collect();
         }
     }
 

@@ -326,7 +326,9 @@ impl LockBackend for SwLockBackend {
     fn debug_state(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (t, tsm) in &self.st.threads {
+        let mut threads: Vec<_> = self.st.threads.iter().collect();
+        threads.sort_unstable_by_key(|&(t, _)| t);
+        for (t, tsm) in threads {
             writeln!(
                 out,
                 "{t:?}: lock={} mode={:?} op={:?} phase={:?} qnode={} scratch={:#x} spins={}",

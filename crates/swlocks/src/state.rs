@@ -1,8 +1,7 @@
 //! Shared state for the software-lock state machines.
 
-use std::collections::HashMap;
+use locksim_engine::stats::{Counters, FxHashMap};
 
-use locksim_engine::stats::Counters;
 use locksim_machine::{Addr, Checker, Mach, MemKind, Mode, RmwOp, ThreadId};
 
 use crate::backend::SwAlg;
@@ -209,39 +208,39 @@ pub(crate) enum ReaderPath {
 /// Shared backend state handed to the per-algorithm modules.
 pub(crate) struct SwState {
     pub alg: SwAlg,
-    pub threads: HashMap<ThreadId, Tsm>,
-    pub mem: HashMap<Addr, LockMem>,
-    pub qnodes: HashMap<(ThreadId, Addr), Addr>,
-    pub timers: HashMap<u64, (ThreadId, TimerPurpose)>,
+    pub threads: FxHashMap<ThreadId, Tsm>,
+    pub mem: FxHashMap<Addr, LockMem>,
+    pub qnodes: FxHashMap<(ThreadId, Addr), Addr>,
+    pub timers: FxHashMap<u64, (ThreadId, TimerPurpose)>,
     pub timer_seq: u64,
     pub counters: Counters,
     pub checker: Checker,
     /// BRAVO per-lock metadata (lazily allocated; empty for other algs so
     /// the allocation sequence of existing algorithms is untouched).
-    pub bravo: HashMap<Addr, BravoMeta>,
+    pub bravo: FxHashMap<Addr, BravoMeta>,
     /// BRAVO global visible-readers table, shared by all locks.
     pub rtable: Vec<Addr>,
     /// Which path each granted BRAVO reader took (keyed by holder).
-    pub rpaths: HashMap<(ThreadId, Addr), ReaderPath>,
+    pub rpaths: FxHashMap<(ThreadId, Addr), ReaderPath>,
     /// Fissile per-lock word line (WRITE bit 0, reader count above it).
-    pub fissile: HashMap<Addr, Addr>,
+    pub fissile: FxHashMap<Addr, Addr>,
 }
 
 impl SwState {
     pub fn new(alg: SwAlg) -> Self {
         SwState {
             alg,
-            threads: HashMap::new(),
-            mem: HashMap::new(),
-            qnodes: HashMap::new(),
-            timers: HashMap::new(),
+            threads: FxHashMap::default(),
+            mem: FxHashMap::default(),
+            qnodes: FxHashMap::default(),
+            timers: FxHashMap::default(),
             timer_seq: 0,
             counters: Counters::new(),
             checker: Checker::new(),
-            bravo: HashMap::new(),
+            bravo: FxHashMap::default(),
             rtable: Vec::new(),
-            rpaths: HashMap::new(),
-            fissile: HashMap::new(),
+            rpaths: FxHashMap::default(),
+            fissile: FxHashMap::default(),
         }
     }
 

@@ -20,6 +20,7 @@
 //! | [`swlocks`] | TAS, TATAS, MCS, MRSW, adaptive-mutex software locks run against the coherence model |
 //! | [`stm`] | object-based STM (visible-reader lock-based OSTM and Fraser-style nonblocking) with RB-tree / skip-list / hash-table |
 //! | [`workloads`] | microbenchmark + fluidanimate/cholesky/radiosity-like kernels |
+//! | [`faults`] | fault-injection plans, seeded plan fuzzer, deadlock detector, oracles, shrinker |
 //! | [`harness`] | regenerates every figure/table of the paper's evaluation |
 //!
 //! ## Quickstart
@@ -49,6 +50,7 @@
 pub use locksim_coherence as coherence;
 pub use locksim_core as core;
 pub use locksim_engine as engine;
+pub use locksim_faults as faults;
 pub use locksim_harness as harness;
 pub use locksim_machine as machine;
 pub use locksim_report as report;

@@ -288,3 +288,104 @@ fn whole_stack_determinism() {
     };
     assert_eq!(run(), run());
 }
+
+/// Splits `ThreadId(n)` out of a stall-dump line.
+fn dump_tid(line: &str) -> u32 {
+    let s = &line[line.find("ThreadId(").expect("thread id") + 9..];
+    s[..s.find(')').expect("closing paren")]
+        .parse()
+        .expect("numeric thread id")
+}
+
+#[test]
+fn stall_dumps_are_deterministic_and_key_sorted() {
+    // Two identically built worlds stopped mid-contention must dump the
+    // same backend state, each map's entries in key order.
+    let dump = |backend: &dyn Fn() -> Box<dyn LockBackend>| {
+        let mut w = World::new(MachineConfig::model_a(16), backend(), 5);
+        let locks = [w.mach().alloc().alloc_line(), w.mach().alloc().alloc_line()];
+        for i in 0..12 {
+            // A private lock held throughout keeps every thread in `held`.
+            let own = w.mach().alloc().alloc_line();
+            let mut script = vec![Action::Acquire {
+                lock: own,
+                mode: Mode::Write,
+                try_for: None,
+            }];
+            for k in 0..20 {
+                let lock = locks[(i + k) % 2];
+                let mode = if (i + k) % 4 == 0 {
+                    Mode::Write
+                } else {
+                    Mode::Read
+                };
+                script.push(Action::Acquire {
+                    lock,
+                    mode,
+                    try_for: None,
+                });
+                script.push(Action::Compute(150));
+                script.push(Action::Release { lock, mode });
+            }
+            script.push(Action::Release {
+                lock: own,
+                mode: Mode::Write,
+            });
+            w.spawn(Box::new(ScriptProgram::new(script)));
+        }
+        w.run_until_cycle(6_000);
+        w.backend_debug()
+    };
+    for (name, make) in all_backends() {
+        if !matches!(name, "lcu" | "mrsw" | "bravo") {
+            continue;
+        }
+        let a = dump(&*make);
+        assert_eq!(a, dump(&*make), "{name}: stall dump differs across worlds");
+        let lines: Vec<&str> = a.lines().collect();
+        // (thread, lock address) — `held` lines name the lock third.
+        let keys = |prefix: &str| -> Vec<(u32, u64)> {
+            lines
+                .iter()
+                .filter(|l| l.starts_with(prefix))
+                .map(|l| {
+                    let addr = l
+                        .split_whitespace()
+                        .nth(2)
+                        .and_then(|f| f.strip_prefix("A0x"))
+                        .and_then(|f| u64::from_str_radix(f.trim_end_matches(':'), 16).ok());
+                    (dump_tid(l), addr.unwrap_or(0))
+                })
+                .collect()
+        };
+        let sections: &[&str] = if name == "lcu" {
+            &["req ", "held "]
+        } else {
+            &["ThreadId("]
+        };
+        for prefix in sections {
+            let k = keys(prefix);
+            assert!(k.len() >= 2, "{name}: too few `{prefix}` entries:\n{a}");
+            assert!(
+                k.windows(2).all(|p| p[0] < p[1]),
+                "{name}: `{prefix}` entries out of key order:\n{a}"
+            );
+        }
+    }
+}
+
+#[test]
+fn generated_fault_plans_validate() {
+    // The fuzzer promises valid plans by construction; a resume must not
+    // fire before a later timed suspend of its thread (seed 2428 did).
+    let cfg = locksim::faults::FuzzConfig::default();
+    for seed in 0..20_000 {
+        let case = locksim::faults::generate(seed, &cfg);
+        if let Err(e) = case.plan.validate(case.workload.threads, cfg.n_cores) {
+            panic!(
+                "seed {seed}: generated plan refused: {e}\n{}",
+                case.plan.format()
+            );
+        }
+    }
+}
