@@ -2,7 +2,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use locksim_engine::stats::{Counters, FxHashMap};
+use locksim_engine::catalog::Dir;
+use locksim_engine::stats::{FxHashMap, Tally};
 
 use crate::types::{CacheId, CacheToDir, DirId, DirToCache, LineAddr, ReqKind};
 
@@ -66,7 +67,7 @@ impl Default for DirLine {
 pub struct DirCtrl {
     id: DirId,
     lines: FxHashMap<LineAddr, DirLine>,
-    counters: Counters,
+    counters: Tally<Dir>,
 }
 
 impl DirCtrl {
@@ -75,7 +76,7 @@ impl DirCtrl {
         DirCtrl {
             id,
             lines: FxHashMap::default(),
-            counters: Counters::new(),
+            counters: Tally::new(),
         }
     }
 
@@ -85,7 +86,7 @@ impl DirCtrl {
     }
 
     /// Protocol event counters (`dir_gets`, `dir_getm`, `dir_invs`, ...).
-    pub fn counters(&self) -> &Counters {
+    pub fn counters(&self) -> &Tally<Dir> {
         &self.counters
     }
 
@@ -118,7 +119,7 @@ impl DirCtrl {
             CacheToDir::Req(kind) => {
                 let entry = self.lines.entry(line).or_default();
                 if entry.busy.is_some() {
-                    self.counters.incr("dir_queued");
+                    self.counters.incr(Dir::Queued);
                 }
                 entry.queue.push_back((from, kind));
                 self.pump(line, out);
@@ -156,8 +157,8 @@ impl DirCtrl {
         let entry = self.lines.get_mut(&line).expect("line exists");
         debug_assert!(entry.busy.is_none());
         match kind {
-            ReqKind::GetS => self.counters.incr("dir_gets"),
-            ReqKind::GetM => self.counters.incr("dir_getm"),
+            ReqKind::GetS => self.counters.incr(Dir::Gets),
+            ReqKind::GetM => self.counters.incr(Dir::Getm),
         }
         match (&mut entry.state, kind) {
             (DirState::Uncached, ReqKind::GetS) => {
@@ -202,7 +203,7 @@ impl DirCtrl {
                     });
                     return;
                 }
-                self.counters.add("dir_invs", others as u64);
+                self.counters.add(Dir::Invs, others as u64);
                 out.extend(
                     set.iter()
                         .copied()
@@ -227,8 +228,8 @@ impl DirCtrl {
                 let owner = *owner;
                 assert_ne!(owner, from, "owner re-requesting {kind:?}");
                 let (msg, ctr) = match kind {
-                    ReqKind::GetS => (DirToCache::Downgrade, "dir_downgrades"),
-                    ReqKind::GetM => (DirToCache::Inv, "dir_invs"),
+                    ReqKind::GetS => (DirToCache::Downgrade, Dir::Downgrades),
+                    ReqKind::GetM => (DirToCache::Inv, Dir::Invs),
                 };
                 self.counters.incr(ctr);
                 entry.busy = Some(Transaction {
@@ -402,7 +403,7 @@ mod tests {
         assert_eq!(out[0].to, C0);
         // C2's request must queue.
         assert!(d.handle_v(L, C2, CacheToDir::Req(ReqKind::GetM)).is_empty());
-        assert_eq!(d.counters().get("dir_queued"), 1);
+        assert_eq!(d.counters().get(Dir::Queued), 1);
         // C0's ack completes C1's grant AND starts C2's transaction.
         let out = d.handle_v(L, C0, CacheToDir::InvAck { dirty: true });
         assert_eq!(out.len(), 2);
@@ -443,9 +444,9 @@ mod tests {
         d.handle_v(L, C0, CacheToDir::Req(ReqKind::GetS));
         d.handle_v(L, C1, CacheToDir::Req(ReqKind::GetM));
         d.handle_v(L, C0, CacheToDir::InvAck { dirty: false });
-        assert_eq!(d.counters().get("dir_gets"), 1);
-        assert_eq!(d.counters().get("dir_getm"), 1);
-        assert_eq!(d.counters().get("dir_invs"), 1);
+        assert_eq!(d.counters().get(Dir::Gets), 1);
+        assert_eq!(d.counters().get(Dir::Getm), 1);
+        assert_eq!(d.counters().get(Dir::Invs), 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use locksim_engine::stats::{Counters, FxHashMap};
+use locksim_engine::catalog::Core;
+use locksim_engine::stats::{Counters, FxHashMap, Tally};
 use locksim_engine::Cycles;
 use locksim_machine::{
     Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload,
@@ -88,7 +89,7 @@ pub struct LcuBackend {
     held: FxHashMap<(ThreadId, Addr), Held>,
     timers: FxHashMap<u64, TimerKind>,
     timer_seq: u64,
-    counters: Counters,
+    counters: Tally<Core>,
     checker: Checker,
     initialized: bool,
 }
@@ -111,7 +112,7 @@ impl LcuBackend {
             held: FxHashMap::default(),
             timers: FxHashMap::default(),
             timer_seq: 0,
-            counters: Counters::new(),
+            counters: Tally::new(),
             checker: Checker::new(),
             initialized: false,
         }
@@ -245,7 +246,7 @@ impl LcuBackend {
                 {
                     e.status = Status::Acq;
                     let cnt = e.cnt;
-                    self.counters.incr("lcu_fast_reacquires");
+                    self.counters.incr(Core::LcuFastReacquires);
                     m.trace_entry_state(Ep::Core(core), addr, "Acq");
                     self.finish_grant(m, t, addr, mode, false, cnt);
                     return;
@@ -276,14 +277,14 @@ impl LcuBackend {
                     nonblocking,
                     no_ovf: true,
                 };
-                self.counters.incr("lcu_requests");
+                self.counters.incr(Core::LcuRequests);
                 m.trace_entry_state(Ep::Core(core), addr, "Issued");
                 self.send_to_lrt(m, core, Msg::Request { addr, req: node });
             }
             None => {
                 // No entry of any kind: software spin, retry later (§III-D
                 // guarantees the local-request entry frees eventually).
-                self.counters.incr("lcu_exhausted");
+                self.counters.incr(Core::LcuExhausted);
                 let backoff = m.cfg().retry_backoff;
                 self.arm(m, backoff, TimerKind::RetryAcquire(t));
             }
@@ -338,16 +339,16 @@ impl LcuBackend {
                     // Entry removed to leave room (§III-A case (a)); the LRT
                     // still records us as owner.
                     self.lcus[lcu].free(addr, tid);
-                    self.counters.incr("lcu_uncontended_takes");
+                    self.counters.incr(Core::LcuUncontendedTakes);
                 } else {
-                    self.counters.incr("lcu_contended_takes");
+                    self.counters.incr(Core::LcuContendedTakes);
                 }
                 self.finish_grant(m, tid, addr, mode, false, cnt);
             }
             Some(req) if req.addr == addr && !here => {
                 // Thread migrated or preempted: arm the grant timeout.
                 let timeout = m.cfg().grant_timeout;
-                self.counters.incr("lcu_grant_waits");
+                self.counters.incr(Core::LcuGrantWaits);
                 self.arm(m, timeout, TimerKind::GrantTimeout { lcu, addr, tid });
             }
             _ => {
@@ -375,7 +376,7 @@ impl LcuBackend {
             };
             (e.head, e.cnt, e.mode, e.next)
         };
-        self.counters.incr("lcu_pass_throughs");
+        self.counters.incr(Core::LcuPassThroughs);
         m.trace_entry_state(Ep::Core(lcu), addr, if head { "Rel" } else { "RdRel" });
         match next {
             Some(n) => {
@@ -436,7 +437,7 @@ impl LcuBackend {
             // Intermediate reader: silent release; wait for the head token
             // (§III-B). Locally re-acquirable meanwhile.
             e.status = Status::RdRel;
-            self.counters.incr("lcu_rd_rel");
+            self.counters.incr(Core::LcuRdRel);
             m.trace_entry_state(Ep::Core(lcu), addr, "RdRel");
             return;
         }
@@ -458,7 +459,7 @@ impl LcuBackend {
             }
             None => {
                 e.status = Status::Rel;
-                self.counters.incr("lcu_lrt_releases");
+                self.counters.incr(Core::LcuLrtReleases);
                 let mode = e.mode;
                 let rel = Msg::ReleaseToLrt {
                     addr,
@@ -491,8 +492,8 @@ impl LcuBackend {
     ) {
         let gated = from_read_session && next.mode == Mode::Write && !next.no_ovf;
         if gated || !m.cfg().lcu_direct_transfer {
-            self.counters.incr("lcu_writer_handoffs");
-            m.lockstat_bump(addr, "lcu_writer_handoffs");
+            self.counters.incr(Core::LcuWriterHandoffs);
+            m.lockstat_bump(addr, Core::LcuWriterHandoffs);
             let msg = Msg::WriterHandoff {
                 addr,
                 writer: next,
@@ -501,8 +502,8 @@ impl LcuBackend {
             };
             self.send_to_lrt(m, lcu, msg);
         } else {
-            self.counters.incr("lcu_direct_transfers");
-            m.lockstat_bump(addr, "lcu_direct_transfers");
+            self.counters.incr(Core::LcuDirectTransfers);
+            m.lockstat_bump(addr, Core::LcuDirectTransfers);
             let g = Msg::DirectGrant {
                 addr,
                 tid: next.tid,
@@ -521,7 +522,7 @@ impl LcuBackend {
         let Some((tid, cnt)) = self.flts[core].remove(&lock) else {
             return;
         };
-        self.counters.incr("flt_unparks");
+        self.counters.incr(Core::FltUnparks);
         if self.alloc_service_entry(core, lock, tid, Mode::Write) {
             let e = self.lcus[core].get_mut(lock, tid).expect("just allocated");
             e.status = Status::Rel;
@@ -613,7 +614,7 @@ impl LcuBackend {
                     },
                 );
                 if fire {
-                    self.counters.incr("lrt_writer_grants");
+                    self.counters.incr(Core::LrtWriterGrants);
                     let gcnt = self.lrts[mem]
                         .get_mut(addr)
                         .map(|(e, _)| e.cnt)
@@ -648,7 +649,7 @@ impl LcuBackend {
             if let Some((rt, _, expiry)) = e.reservation {
                 if now < expiry && rt != req.tid {
                     // Reserved for someone else: everyone retries (§III-D).
-                    self.counters.incr("lrt_reservation_denials");
+                    self.counters.incr(Core::LrtReservationDenials);
                     self.lrt_to_lcu(m, mem, req.lcu, penalty, Msg::Retry { addr, tid: req.tid });
                     return;
                 }
@@ -659,7 +660,7 @@ impl LcuBackend {
                 match (req.mode, req.nonblocking) {
                     (Mode::Read, true) => {
                         e.reader_cnt += 1;
-                        self.counters.incr("lrt_overflow_grants");
+                        self.counters.incr(Core::LrtOverflowGrants);
                         let g = Msg::LrtGrant {
                             addr,
                             tid: req.tid,
@@ -690,7 +691,7 @@ impl LcuBackend {
                         e.tail = Some(req);
                         e.waiting_writers += 1;
                         e.pending_writer = Some((req, e.cnt));
-                        self.counters.incr("lrt_writer_gated");
+                        self.counters.incr(Core::LrtWriterGated);
                         m.trace_entry_state(Ep::Mem(mem), addr, "LrtWriterGated");
                     }
                     (Mode::Write, true) => {
@@ -704,7 +705,7 @@ impl LcuBackend {
             e.tail = Some(req);
             e.cnt += 1;
             let gcnt = e.cnt;
-            self.counters.incr("lrt_free_grants");
+            self.counters.incr(Core::LrtFreeGrants);
             m.trace_entry_state(Ep::Mem(mem), addr, "LrtHead");
             let g = Msg::LrtGrant {
                 addr,
@@ -725,7 +726,7 @@ impl LcuBackend {
                 && e.pending_writer.is_none();
             if readable {
                 e.reader_cnt += 1;
-                self.counters.incr("lrt_overflow_grants");
+                self.counters.incr(Core::LrtOverflowGrants);
                 let g = Msg::LrtGrant {
                     addr,
                     tid: req.tid,
@@ -749,7 +750,7 @@ impl LcuBackend {
         if req.mode == Mode::Write {
             e.waiting_writers += 1;
         }
-        self.counters.incr("lrt_forwards");
+        self.counters.incr(Core::LrtForwards);
         m.trace_entry_state(Ep::Mem(mem), addr, "LrtEnqueued");
         let fwd = Msg::FwdRequest {
             addr,
@@ -774,10 +775,10 @@ impl LcuBackend {
         let expired = e.reservation.is_none_or(|(_, _, exp)| exp <= now);
         if expired && reservations_on {
             e.reservation = Some((req.tid, req.lcu, now + window));
-            self.counters.incr("lrt_reservations");
+            self.counters.incr(Core::LrtReservations);
             m.trace_entry_state(Ep::Mem(mem), addr, "LrtReserved");
         }
-        self.counters.incr("lrt_retries");
+        self.counters.incr(Core::LrtRetries);
         self.lrt_to_lcu(m, mem, req.lcu, penalty, Msg::Retry { addr, tid: req.tid });
     }
 
@@ -798,13 +799,13 @@ impl LcuBackend {
         if overflow {
             debug_assert!(e.reader_cnt > 0, "overflow release with zero count");
             e.reader_cnt = e.reader_cnt.saturating_sub(1);
-            self.counters.incr("lrt_overflow_releases");
+            self.counters.incr(Core::LrtOverflowReleases);
             if e.reader_cnt == 0 {
                 if let Some((writer, wcnt)) = e.pending_writer.take() {
                     e.waiting_writers = e.waiting_writers.saturating_sub(1);
                     e.cnt = e.cnt.max(wcnt);
                     let gcnt = e.cnt;
-                    self.counters.incr("lrt_writer_grants");
+                    self.counters.incr(Core::LrtWriterGrants);
                     let g = Msg::LrtGrant {
                         addr,
                         tid: writer.tid,
@@ -827,7 +828,7 @@ impl LcuBackend {
                 // Sole node: the lock becomes free.
                 e.head = None;
                 e.tail = None;
-                self.counters.incr("lrt_frees");
+                self.counters.incr(Core::LrtFrees);
                 m.trace_entry_state(Ep::Mem(mem), addr, "LrtFree");
                 self.lrt_to_lcu(m, mem, lcu, penalty, Msg::ReleaseAck { addr, tid });
                 self.lrts[mem].remove_if_dead(addr, now);
@@ -835,7 +836,7 @@ impl LcuBackend {
                 // Race (§III-A): a new requestor was recorded as tail while
                 // this release was in flight; the releasing entry will serve
                 // the forwarded request directly.
-                self.counters.incr("lrt_release_retries");
+                self.counters.incr(Core::LrtReleaseRetries);
                 self.lrt_to_lcu(m, mem, lcu, penalty, Msg::Retry { addr, tid });
             }
             return;
@@ -843,7 +844,7 @@ impl LcuBackend {
         // Release from an LCU that is not the recorded head: a migrated
         // owner (§III-C). Forward to the head LCU; it hops along the queue
         // if needed.
-        self.counters.incr("lrt_remote_releases");
+        self.counters.incr(Core::LrtRemoteReleases);
         let fwd = Msg::FwdRelease { addr, tid, mode };
         self.lrt_to_lcu(m, mem, head.lcu, penalty, fwd);
     }
@@ -881,7 +882,7 @@ impl LcuBackend {
                         self.send_to_lrt(m, core, rel);
                         return;
                     }
-                    self.counters.incr("lcu_overflow_takes");
+                    self.counters.incr(Core::LcuOverflowTakes);
                     self.finish_grant(m, tid, addr, Mode::Read, true, 0);
                     return;
                 }
@@ -891,10 +892,10 @@ impl LcuBackend {
                     // lock nobody wants; the grant is dropped and the LRT
                     // entry will be repaired by the next requestor's race
                     // handling.
-                    self.counters.incr("lcu_orphan_grants");
+                    self.counters.incr(Core::LcuOrphanGrants);
                     return;
                 }
-                self.counters.incr("lcu_lrt_grants");
+                self.counters.incr(Core::LcuLrtGrants);
                 // Arrival handling is identical to a direct grant (the LRT
                 // already points at us, so no acknowledgement is owed).
                 self.lcu_direct_grant(m, core, addr, tid, head, cnt, None);
@@ -915,7 +916,7 @@ impl LcuBackend {
                             // Nonblocking request denied: free the entry and
                             // retry from software after a backoff.
                             self.lcus[core].free(addr, tid);
-                            self.counters.incr("lcu_nb_retries");
+                            self.counters.incr(Core::LcuNbRetries);
                             if self.reqs.contains_key(&tid) {
                                 let backoff = m.cfg().retry_backoff;
                                 self.arm(m, backoff, TimerKind::RetryAcquire(tid));
@@ -924,7 +925,7 @@ impl LcuBackend {
                         Status::Rel => {
                             // Release race: keep the entry; the forwarded
                             // request will arrive and we transfer directly.
-                            self.counters.incr("lcu_release_races");
+                            self.counters.incr(Core::LcuReleaseRaces);
                         }
                         other => panic!("Retry at entry in {other:?}"),
                     }
@@ -934,7 +935,7 @@ impl LcuBackend {
                 if let Some(e) = self.lcus[at].get(addr, tid) {
                     debug_assert_eq!(e.status, Status::Rel, "ack for non-releasing entry");
                     self.lcus[at].free(addr, tid);
-                    self.counters.incr("lcu_entry_frees");
+                    self.counters.incr(Core::LcuEntryFrees);
                 }
             }
             Msg::DirectGrant {
@@ -982,7 +983,7 @@ impl LcuBackend {
         if let Some(&(owner, cnt)) = self.flts[core].get(&addr) {
             if owner == tail_tid {
                 self.flts[core].remove(&addr);
-                self.counters.incr("flt_fwd_unparks");
+                self.counters.incr(Core::FltFwdUnparks);
                 if self.lcus[core]
                     .alloc(addr, tail_tid, Mode::Write, EntryKind::Ordinary)
                     .is_none()
@@ -1016,8 +1017,8 @@ impl LcuBackend {
                     cnt: cnt + 1,
                     ack: Some((core, tail_tid)),
                 };
-                self.counters.incr("lcu_direct_transfers");
-                m.lockstat_bump(addr, "lcu_direct_transfers");
+                self.counters.incr(Core::LcuDirectTransfers);
+                m.lockstat_bump(addr, Core::LcuDirectTransfers);
                 self.lcu_to_lcu(m, core, req.lcu, g);
                 return;
             }
@@ -1028,7 +1029,7 @@ impl LcuBackend {
                 // ReleaseToLrt will get a Retry (the LRT already recorded
                 // the new tail) and its entry will be waiting for exactly
                 // this message. Redeliver until that entry exists.
-                self.counters.incr("lcu_fwd_orphans");
+                self.counters.incr(Core::LcuFwdOrphans);
                 let backoff = m.cfg().retry_backoff;
                 self.arm(
                     m,
@@ -1051,7 +1052,7 @@ impl LcuBackend {
                 .alloc(addr, tail_tid, held.mode, EntryKind::Ordinary)
                 .is_none()
             {
-                self.counters.incr("lcu_fwd_noentry");
+                self.counters.incr(Core::LcuFwdNoentry);
                 let backoff = m.cfg().retry_backoff;
                 self.arm(
                     m,
@@ -1071,13 +1072,13 @@ impl LcuBackend {
             e.status = Status::Acq;
             e.head = true;
             e.cnt = held.cnt;
-            self.counters.incr("lcu_reallocs");
+            self.counters.incr(Core::LcuReallocs);
         }
         let e = self.lcus[core].get_mut(addr, tail_tid).expect("tail entry");
         if e.next.is_some() {
             // Stale forward (should not happen: the LRT serializes tail
             // updates); count and drop.
-            self.counters.incr("lcu_stale_forwards");
+            self.counters.incr(Core::LcuStaleForwards);
             return;
         }
         e.next = Some(req);
@@ -1086,7 +1087,7 @@ impl LcuBackend {
         let releasing = e.status == Status::Rel;
         if shared_read {
             // Concurrent reader: grant immediately (non-head).
-            self.counters.incr("lcu_read_shares");
+            self.counters.incr(Core::LcuReadShares);
             let g = Msg::DirectGrant {
                 addr,
                 tid: req.tid,
@@ -1100,7 +1101,7 @@ impl LcuBackend {
             // it is a writer that may coexist with overflow readers).
             let cnt = e.cnt;
             let from_read = e.mode == Mode::Read;
-            self.counters.incr("lcu_race_transfers");
+            self.counters.incr(Core::LcuRaceTransfers);
             self.send_head_token(m, core, tail_tid, addr, cnt, req, from_read);
         } else if stale {
             // Grant parked with no taker: pass it on at once.
@@ -1124,7 +1125,7 @@ impl LcuBackend {
     ) {
         let core = at;
         if self.lcus[core].get(addr, tid).is_none() {
-            self.counters.incr("lcu_orphan_grants");
+            self.counters.incr(Core::LcuOrphanGrants);
             return;
         }
         let status = self.lcus[core].get(addr, tid).expect("entry").status;
@@ -1150,7 +1151,7 @@ impl LcuBackend {
                     }
                 };
                 if let Some(node) = notify {
-                    self.counters.incr("lcu_head_notifies");
+                    self.counters.incr(Core::LcuHeadNotifies);
                     self.send_to_lrt(
                         m,
                         core,
@@ -1184,7 +1185,7 @@ impl LcuBackend {
                         e.status == Status::Rcv,
                     )
                 };
-                self.counters.incr("lcu_head_notifies");
+                self.counters.incr(Core::LcuHeadNotifies);
                 self.send_to_lrt(
                     m,
                     core,
@@ -1204,7 +1205,7 @@ impl LcuBackend {
                 // it to the next node, or release to the LRT if last.
                 debug_assert!(head, "non-head grant to RdRel entry");
                 let next = self.lcus[core].get(addr, tid).expect("entry").next;
-                self.counters.incr("lcu_token_bypasses");
+                self.counters.incr(Core::LcuTokenBypasses);
                 match next {
                     Some(n)
                         if n.mode == Mode::Write && (!n.no_ovf || !m.cfg().lcu_direct_transfer) =>
@@ -1290,7 +1291,7 @@ impl LcuBackend {
             Status::Rel => {
                 // Grant reached an entry that is already releasing — the
                 // release-race transfer already happened; drop.
-                self.counters.incr("lcu_grant_to_releasing");
+                self.counters.incr(Core::LcuGrantToReleasing);
             }
         }
     }
@@ -1304,7 +1305,7 @@ impl LcuBackend {
         }
         if let Some(n) = e.next {
             if n.mode == Mode::Read {
-                self.counters.incr("lcu_read_propagations");
+                self.counters.incr(Core::LcuReadPropagations);
                 let g = Msg::DirectGrant {
                     addr,
                     tid: n.tid,
@@ -1332,7 +1333,7 @@ impl LcuBackend {
             let st = self.lcus[core].get(addr, tid).expect("entry").status;
             match st {
                 Status::Acq | Status::Rcv => {
-                    self.counters.incr("lcu_remote_release_served");
+                    self.counters.incr(Core::LcuRemoteReleaseServed);
                     // Make sure a parked Rcv becomes a real hold first.
                     if st == Status::Rcv {
                         let e = self.lcus[core].get_mut(addr, tid).expect("entry");
@@ -1341,12 +1342,12 @@ impl LcuBackend {
                     self.release_entry(m, core, addr, tid);
                 }
                 _ => {
-                    self.counters.incr("lcu_remote_release_dropped");
+                    self.counters.incr(Core::LcuRemoteReleaseDropped);
                 }
             }
         } else {
             let _ = mode;
-            self.counters.incr("lcu_remote_release_missing");
+            self.counters.incr(Core::LcuRemoteReleaseMissing);
         }
     }
 }
@@ -1399,7 +1400,7 @@ impl LockBackend for LcuBackend {
         if let Some(&(owner, cnt)) = self.flts[core].get(&lock) {
             if owner == t && mode == Mode::Write {
                 self.flts[core].remove(&lock);
-                self.counters.incr("flt_hits");
+                self.counters.incr(Core::FltHits);
                 self.held.insert(
                     (t, lock),
                     Held {
@@ -1472,7 +1473,7 @@ impl LockBackend for LcuBackend {
                 // The holding entry is on another core (we migrated while
                 // holding). Send the release to the LRT, which forwards it
                 // to the entry (§III-C remote release).
-                self.counters.incr("lcu_remote_release_sent");
+                self.counters.incr(Core::LcuRemoteReleaseSent);
                 let rel = Msg::ReleaseToLrt {
                     addr: lock,
                     tid: t,
@@ -1498,7 +1499,7 @@ impl LockBackend for LcuBackend {
                     }
                 }
                 self.flts[core].insert(lock, (t, held.cnt));
-                self.counters.incr("flt_parks");
+                self.counters.incr(Core::FltParks);
             }
             (false, None) => {
                 // Uncontended hold: the entry was deallocated at take time.
@@ -1510,7 +1511,7 @@ impl LockBackend for LcuBackend {
                     e.status = Status::Rel;
                     e.head = true;
                     e.cnt = held.cnt;
-                    self.counters.incr("lcu_uncontended_releases");
+                    self.counters.incr(Core::LcuUncontendedReleases);
                     let rel = Msg::ReleaseToLrt {
                         addr: lock,
                         tid: t,
@@ -1522,7 +1523,7 @@ impl LockBackend for LcuBackend {
                 } else {
                     // The rel instruction spins until an entry frees; the
                     // thread stays blocked in the release meanwhile.
-                    self.counters.incr("lcu_release_noentry");
+                    self.counters.incr(Core::LcuReleaseNoentry);
                     let backoff = m.cfg().retry_backoff;
                     self.arm(
                         m,
@@ -1573,7 +1574,7 @@ impl LockBackend for LcuBackend {
         match kind {
             TimerKind::TryExpire(t) => {
                 if let Some(req) = self.reqs.get(&t).copied() {
-                    self.counters.incr("lcu_try_expires");
+                    self.counters.incr(Core::LcuTryExpires);
                     self.reqs.remove(&t);
                     // Entry cleanup is lazy: any grant that arrives for the
                     // abandoned entry passes through. If the entry is still
@@ -1596,7 +1597,7 @@ impl LockBackend for LcuBackend {
                     self.try_take(m, lcu, addr, tid);
                     return;
                 }
-                self.counters.incr("lcu_grant_timeouts");
+                self.counters.incr(Core::LcuGrantTimeouts);
                 let has_next = self.lcus[lcu].get(addr, tid).and_then(|e| e.next).is_some();
                 if has_next {
                     self.pass_through(m, lcu, addr, tid);
@@ -1633,7 +1634,7 @@ impl LockBackend for LcuBackend {
                     e.status = Status::Rel;
                     e.head = true;
                     e.cnt = cnt;
-                    self.counters.incr("lcu_uncontended_releases");
+                    self.counters.incr(Core::LcuUncontendedReleases);
                     let rel = Msg::ReleaseToLrt {
                         addr,
                         tid,
@@ -1664,7 +1665,7 @@ impl LockBackend for LcuBackend {
                 tail_tid,
                 req,
             } => {
-                self.counters.incr("lcu_fwd_redeliveries");
+                self.counters.incr(Core::LcuFwdRedeliveries);
                 self.lcu_fwd_request(m, at, addr, tail_tid, req);
             }
         }
@@ -1685,7 +1686,7 @@ impl LockBackend for LcuBackend {
         }
         // Migrated (or told to re-issue): issue a fresh request from the
         // new core; stale entries elsewhere pass grants through on timeout.
-        self.counters.incr("lcu_reissues");
+        self.counters.incr(Core::LcuReissues);
         self.try_start_request(m, t);
     }
 
@@ -1698,7 +1699,7 @@ impl LockBackend for LcuBackend {
                 let Some(&lock) = self.flts.get(core).and_then(|f| f.keys().next()) else {
                     return false;
                 };
-                self.counters.incr("flt_fault_evictions");
+                self.counters.incr(Core::FltFaultEvictions);
                 self.flt_unpark_release(m, core, lock);
                 true
             }
@@ -1761,9 +1762,9 @@ impl LockBackend for LcuBackend {
                 }
             }
         }
-        let mut c = self.counters.clone();
+        let mut c = Counters::from(&self.counters);
         for l in &self.lrts {
-            c.add("lrt_evictions", l.evictions);
+            c.add(Core::LrtEvictions, l.evictions);
         }
         for (k, v) in c.iter() {
             writeln!(out, "ctr {k} = {v}").ok();
@@ -1772,15 +1773,15 @@ impl LockBackend for LcuBackend {
     }
 
     fn counters(&self) -> Counters {
-        let mut c = self.counters.clone();
+        let mut c = Counters::from(&self.counters);
         let mut ev = 0;
         let mut oh = 0;
         for l in &self.lrts {
             ev += l.evictions;
             oh += l.overflow_hits;
         }
-        c.add("lrt_evictions", ev);
-        c.add("lrt_overflow_hits", oh);
+        c.add(Core::LrtEvictions, ev);
+        c.add(Core::LrtOverflowHits, oh);
         c
     }
 }

@@ -7,8 +7,9 @@
 //! * [`Simulator`] — a deterministic discrete-event queue, generic over the
 //!   event payload type.
 //! * [`rng::RngStream`] — reproducible per-component random-number streams.
-//! * [`stats`] — counters, running statistics and confidence intervals
-//!   used by the experiment harness.
+//! * [`catalog`] — every reported counter and histogram, declared once per
+//!   layer; [`stats`] — their storage, plus running statistics and
+//!   confidence intervals used by the experiment harness.
 //!
 //! # Example
 //!
@@ -25,6 +26,7 @@
 //! assert!(sim.pop().is_none());
 //! ```
 
+pub mod catalog;
 pub mod rng;
 pub mod stats;
 

@@ -1,5 +1,5 @@
-//! Statistics collection: counters, running moments and confidence
-//! intervals.
+//! Statistics collection: counter storage for the metrics catalog, running
+//! moments and confidence intervals.
 //!
 //! The experiment harness reports per-configuration means with 95% confidence
 //! intervals across repeated runs (mirroring the paper's Figure 13 error
@@ -8,6 +8,8 @@
 
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::catalog::{Ctr, Layer, TOTAL};
 
 /// Incrementally computed mean/variance/min/max over a stream of samples
 /// (Welford's algorithm).
@@ -190,12 +192,12 @@ impl fmt::Display for Summary {
 }
 
 /// A fast non-cryptographic hasher (the FxHash multiply-rotate scheme) for
-/// every simulated-state map: counter names, line and lock addresses,
-/// thread ids, timer ids. Those lookups sit on the per-event hot path of
-/// the simulator, where SipHash showed up in the self-profiler. The keys are
-/// simulator-internal, so hash flooding is not a concern, and the hasher is
-/// unseeded, so iteration order is the same in every process — but no
-/// output may depend on it; use an ordered container where order matters.
+/// every simulated-state map: line and lock addresses, thread ids, timer
+/// ids. Those lookups sit on the per-event hot path of the simulator, where
+/// SipHash showed up in the self-profiler. The keys are simulator-internal,
+/// so hash flooding is not a concern, and the hasher is unseeded, so
+/// iteration order is the same in every process — but no output may depend
+/// on it; use an ordered container where order matters.
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -242,53 +244,158 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 #[allow(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A named bundle of monotonically increasing event counters.
+/// One owner's counters for one catalog layer (a directory's [`Dir`]
+/// counters, a backend's [`Core`] counters, ...).
 ///
-/// Components count protocol events (messages sent, retries, grants,
-/// overflows, ...) into a `Counters` and the harness folds them into reports.
-/// Storage is an unordered fast-hash map (bumps are hot-path); iteration
-/// sorts by name so every rendered report stays deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
-    map: FxHashMap<&'static str, u64>,
+/// Storage is one `u64` per counter of the layer plus a touched mask: a
+/// bump is an array index and a bit set. A counter is reported iff it was
+/// touched — bumped at least once, if only by 0 — so a layer's unused
+/// counters stay out of the report.
+///
+/// [`Dir`]: crate::catalog::Dir
+/// [`Core`]: crate::catalog::Core
+#[derive(Debug)]
+pub struct Tally<L: Layer> {
+    vals: L::Slots,
+    touched: u64,
 }
 
-impl Counters {
-    /// Creates an empty bundle.
+impl<L: Layer> Default for Tally<L> {
+    fn default() -> Self {
+        Tally {
+            vals: L::ZERO,
+            touched: 0,
+        }
+    }
+}
+
+impl<L: Layer> Tally<L> {
+    /// Creates an all-untouched tally.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds `n` to counter `name`, creating it at zero if absent.
+    /// Adds `n` to counter `c` and marks it touched.
     #[inline]
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.map.entry(name).or_insert(0) += n;
+    pub fn add(&mut self, c: L, n: u64) {
+        let i = c.index();
+        self.vals.as_mut()[i] += n;
+        self.touched |= 1 << i;
     }
 
-    /// Increments counter `name` by one.
+    /// Increments counter `c`.
     #[inline]
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
+    pub fn incr(&mut self, c: L) {
+        self.add(c, 1);
     }
 
-    /// Current value of `name` (zero if never touched).
+    /// Current value of `c` (zero if never touched).
+    pub fn get(&self, c: L) -> u64 {
+        self.vals.as_ref()[c.index()]
+    }
+}
+
+const WORDS: usize = TOTAL.div_ceil(64);
+
+/// The report bag: one slot per catalog counter plus a touched mask,
+/// listed in name order.
+///
+/// End-of-run snapshots and backends' `counters()` hand this out; readers
+/// look values up by rendered name with [`Counters::get`] or walk the
+/// touched counters with [`Counters::iter`]. Folding tallies and bags
+/// together ([`Counters::merge_tally`], [`Counters::merge`]) is slot-by-slot
+/// addition, with no per-name lookup. The slots are boxed, so the snapshots
+/// and run captures that hold a bag stay pointer-sized.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Counters(Box<Bag>);
+
+#[derive(Clone, PartialEq, Eq)]
+struct Bag {
+    vals: [u64; TOTAL],
+    touched: [u64; WORDS],
+}
+
+impl Default for Counters {
+    fn default() -> Self {
+        Counters(Box::new(Bag {
+            vals: [0; TOTAL],
+            touched: [0; WORDS],
+        }))
+    }
+}
+
+impl Counters {
+    /// Creates an empty bag.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `n` to counter `c` and marks it touched.
+    #[inline]
+    pub fn add(&mut self, c: impl Into<Ctr>, n: u64) {
+        let i = c.into().index();
+        self.0.vals[i] += n;
+        self.touch(i);
+    }
+
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.0.touched[i / 64] |= 1 << (i % 64);
+    }
+
+    fn is_touched(&self, i: usize) -> bool {
+        self.0.touched[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Current value of the counter rendered as `name` (zero if it was
+    /// never touched or the catalog has no such name).
     pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
+        Ctr::from_name(name).map_or(0, |c| self.0.vals[c.index()])
     }
 
-    /// Iterates `(name, value)` in name order.
+    /// Iterates the touched counters as `(name, value)`, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut entries: Vec<(&'static str, u64)> =
-            self.map.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries.into_iter()
+        Ctr::by_name()
+            .filter(|c| self.is_touched(c.index()))
+            .map(|c| (c.name(), self.0.vals[c.index()]))
     }
 
-    /// Folds another bundle into this one.
+    /// Folds another bag into this one, slot by slot.
     pub fn merge(&mut self, other: &Counters) {
-        for (&k, &v) in &other.map {
-            self.add(k, v);
+        for (v, o) in self.0.vals.iter_mut().zip(&other.0.vals) {
+            *v += o;
         }
+        for (t, o) in self.0.touched.iter_mut().zip(&other.0.touched) {
+            *t |= o;
+        }
+    }
+
+    /// Folds one layer's tally into its slots of this bag. (Untouched slots
+    /// hold 0, so only the mask needs per-counter care.)
+    pub fn merge_tally<L: Layer>(&mut self, t: &Tally<L>) {
+        let slots = &mut self.0.vals[L::BASE..L::BASE + L::LEN];
+        for (v, o) in slots.iter_mut().zip(t.vals.as_ref()) {
+            *v += o;
+        }
+        let mut bits = t.touched;
+        while bits != 0 {
+            self.touch(L::BASE + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+impl<L: Layer> From<&Tally<L>> for Counters {
+    fn from(t: &Tally<L>) -> Counters {
+        let mut c = Counters::new();
+        c.merge_tally(t);
+        c
+    }
+}
+
+impl fmt::Debug for Counters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -423,19 +530,93 @@ mod tests {
         assert!(txt.contains("±n/a"), "{txt}");
     }
 
+    use crate::catalog::{Core, Dir, Machine};
+
     #[test]
-    fn counters_accumulate_and_merge() {
-        let mut a = Counters::new();
-        a.incr("msgs");
-        a.add("msgs", 4);
-        a.incr("retries");
-        let mut b = Counters::new();
-        b.add("msgs", 10);
-        a.merge(&b);
-        assert_eq!(a.get("msgs"), 15);
-        assert_eq!(a.get("retries"), 1);
-        assert_eq!(a.get("absent"), 0);
-        let names: Vec<&str> = a.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["msgs", "retries"]);
+    fn a_counter_bumped_by_zero_renders_zero() {
+        // A backend reporting a table-derived total adds it even when it
+        // is 0 (`lcu,40,counter lrt_evictions,0` in fig9's metrics).
+        let mut c = Counters::new();
+        c.add(Core::LrtEvictions, 0);
+        assert_eq!(c.iter().collect::<Vec<_>>(), [("lrt_evictions", 0)]);
+        let mut t = Tally::<Core>::new();
+        t.add(Core::LrtOverflowHits, 0);
+        let mut c = Counters::new();
+        c.merge_tally(&t);
+        assert_eq!(c.iter().collect::<Vec<_>>(), [("lrt_overflow_hits", 0)]);
+    }
+
+    #[test]
+    fn a_counter_never_bumped_is_absent() {
+        let mut t = Tally::<Dir>::new();
+        t.incr(Dir::Gets);
+        let mut c = Counters::new();
+        c.merge_tally(&t);
+        c.merge(&Counters::new());
+        assert_eq!(c.iter().collect::<Vec<_>>(), [("dir_gets", 1)]);
+        assert_eq!(c.get("dir_getm"), 0);
+        assert_eq!(c.get("no_such_counter"), 0);
+        assert_eq!(Counters::new().iter().count(), 0);
+    }
+
+    #[test]
+    fn merging_two_bundles_equals_bumping_one() {
+        let bumps = [
+            (Dir::Gets, 1),
+            (Dir::Invs, 3),
+            (Dir::Gets, 0),
+            (Dir::Queued, 0),
+            (Dir::Invs, 2),
+        ];
+        let mut whole = Tally::<Dir>::new();
+        let (mut a, mut b) = (Tally::<Dir>::new(), Tally::<Dir>::new());
+        for (i, &(c, n)) in bumps.iter().enumerate() {
+            whole.add(c, n);
+            if i % 2 == 0 {
+                a.add(c, n)
+            } else {
+                b.add(c, n)
+            }
+        }
+        let bag = |ts: &[&Tally<Dir>]| {
+            let mut c = Counters::new();
+            for t in ts {
+                c.merge_tally(t);
+            }
+            c
+        };
+        assert_eq!(bag(&[&a, &b]), bag(&[&whole]));
+        let mut merged = bag(&[&a]);
+        merged.add(Machine::Migrations, 2);
+        merged.merge(&bag(&[&b]));
+        let mut one = bag(&[&whole]);
+        one.add(Machine::Migrations, 2);
+        assert_eq!(merged, one);
+        assert_eq!(merged.get("dir_invs"), 5);
+        assert_eq!(merged.get("dir_queued"), 0);
+        assert_eq!(merged.iter().count(), 4);
+    }
+
+    #[test]
+    fn report_order_is_name_order() {
+        // Declared machine-first and lcu_requests-first; listed by name.
+        let mut c = Counters::new();
+        c.add(Machine::LocksGranted, 1);
+        c.add(Core::LcuRequests, 1);
+        c.add(Core::LcuFastReacquires, 1);
+        c.add(Dir::Gets, 1);
+        let names: Vec<&str> = c.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            names,
+            [
+                "dir_gets",
+                "lcu_fast_reacquires",
+                "lcu_requests",
+                "locks_granted"
+            ]
+        );
+        let all: Vec<&str> = Ctr::by_name().map(Ctr::name).collect();
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "{all:?}");
+        assert_eq!(all.len(), TOTAL);
     }
 }

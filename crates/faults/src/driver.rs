@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use locksim_engine::catalog::Faults;
 use locksim_machine::{BackendFault, RunExit, ThreadId, TraceEp, TraceEvent, TraceKind, World};
 
 use crate::detect::{self, DeadlockReport};
@@ -178,8 +179,8 @@ impl FaultDriver {
             }
             if let Some(report) = detect::snapshot(w.mach_ref(), c) {
                 let (lock, waiters) = (report.lock, report.waiters);
-                w.mach().metrics_mut().incr("deadlocks_detected");
-                w.mach().lockstat_mut().bump(lock, "deadlock");
+                w.mach().metrics_mut().incr(Faults::DeadlocksDetected);
+                w.mach().lockstat_mut().bump(lock, Faults::Deadlock);
                 w.mach().trace(|now| TraceEvent {
                     t: now,
                     ep: TraceEp::Global,
@@ -298,7 +299,7 @@ impl FaultDriver {
             }
         };
         if applied {
-            w.mach().metrics_mut().incr("fault_injections");
+            w.mach().metrics_mut().incr(Faults::FaultInjections);
             // Mark the injection on the time-series so dashboard timelines
             // can correlate tail spikes with the fault that caused them.
             w.mach().series_mark(match inject {

@@ -19,6 +19,7 @@
 
 use std::collections::BTreeMap;
 
+use locksim_engine::catalog::Faults;
 use locksim_machine::{TraceEp, TraceEvent, TraceKind, World};
 
 use crate::driver::SuspensionWindows;
@@ -237,8 +238,8 @@ pub fn check_world(
     violations.extend(check_fairness(&events, plan.fairness_k, windows));
     let m = w.mach();
     for v in &violations {
-        m.metrics_mut().incr("oracle_violations");
-        m.lockstat_mut().bump(v.lock, "oracle_violation");
+        m.metrics_mut().incr(Faults::OracleViolations);
+        m.lockstat_mut().bump(v.lock, Faults::OracleViolation);
         let v = *v;
         m.trace(|now| TraceEvent {
             t: now,

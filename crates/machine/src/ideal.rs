@@ -10,7 +10,8 @@
 
 use std::collections::VecDeque;
 
-use locksim_engine::stats::{Counters, FxHashMap};
+use locksim_engine::catalog::Ideal;
+use locksim_engine::stats::{Counters, FxHashMap, Tally};
 use locksim_engine::Cycles;
 
 use crate::addr::Addr;
@@ -41,7 +42,7 @@ impl LockState {
 #[derive(Debug, Default)]
 pub struct IdealBackend {
     locks: FxHashMap<Addr, LockState>,
-    counters: Counters,
+    counters: Tally<Ideal>,
 }
 
 impl IdealBackend {
@@ -90,7 +91,7 @@ impl LockBackend for IdealBackend {
         mode: Mode,
         try_for: Option<Cycles>,
     ) {
-        self.counters.incr("ideal_acquires");
+        self.counters.incr(Ideal::Acquires);
         let st = self.locks.entry(lock).or_default();
         if st.queue.is_empty() && st.is_free_for(mode) {
             match mode {
@@ -100,7 +101,7 @@ impl LockBackend for IdealBackend {
             m.grant_lock(t);
         } else if try_for == Some(0) {
             // An impatient trylock that will not wait at all.
-            self.counters.incr("ideal_tryfails");
+            self.counters.incr(Ideal::Tryfails);
             m.fail_lock(t);
         } else {
             // The ideal backend has no timeouts: a positive try budget waits
@@ -135,6 +136,6 @@ impl LockBackend for IdealBackend {
     }
 
     fn counters(&self) -> Counters {
-        self.counters.clone()
+        Counters::from(&self.counters)
     }
 }

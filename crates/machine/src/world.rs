@@ -8,6 +8,7 @@ use locksim_coherence::{
     CacheAction, CacheCtrl, CacheId, CacheOpResult, CacheState, CacheToDir, CpuOp, DirAction,
     DirCtrl, DirId, DirToCache, LineAddr,
 };
+use locksim_engine::catalog::{Ctr, Gauge, Hist, Machine};
 use locksim_engine::stats::{Counters, FxHashMap};
 use locksim_engine::{Cycles, RngStream, Simulator, Time};
 use locksim_topo::{MsgClass, Network, NodeId};
@@ -465,9 +466,9 @@ impl Mach {
         self.wire_fault = None;
     }
 
-    /// Global machine counters (mutable for backends).
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        self.metrics.counters_mut()
+    /// Machine-wide counters (the metrics registry's bag).
+    pub fn counters(&self) -> &Counters {
+        self.metrics.counters()
     }
 
     /// The metrics registry (counters plus latency histograms).
@@ -522,14 +523,14 @@ impl Mach {
     /// Backend hook: bumps a protocol-specific per-lock counter (no-op while
     /// lockstat is disabled).
     #[inline]
-    pub fn lockstat_bump(&mut self, lock: Addr, name: &'static str) {
-        self.lockstat.bump(lock.0, name);
+    pub fn lockstat_bump(&mut self, lock: Addr, c: impl Into<Ctr>) {
+        self.lockstat.bump(lock.0, c);
     }
 
     /// Records a starvation-watchdog firing: a `starve` trace record plus
     /// the machine-wide `starvation_flags` counter.
     fn note_starvation(&mut self, flag: StarvationFlag) {
-        self.metrics.incr("starvation_flags");
+        self.metrics.incr(Machine::StarvationFlags);
         self.series.mark(flag.at, "starvation_flag");
         self.tracer.record(|| TraceEvent {
             t: Time::from_cycles(flag.at),
@@ -630,8 +631,8 @@ impl Mach {
         let wait = granted_at - since;
         self.threads[ti].stats.acquires += 1;
         self.threads[ti].stats.wait_cycles += wait;
-        self.metrics.incr("locks_granted");
-        self.metrics.observe("lock_wait_cycles", wait);
+        self.metrics.incr(Machine::LocksGranted);
+        self.metrics.observe(Hist::LockWaitCycles, wait);
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
         self.series.on_grant(granted_at.cycles(), wait);
         if let Some((lock, mode)) = self.threads[ti].waiting_on.take() {
@@ -674,7 +675,7 @@ impl Mach {
             .expect("fail_lock without outstanding acquire");
         self.threads[ti].stats.fails += 1;
         self.threads[ti].stats.wait_cycles += (self.sim.now() + delay) - since;
-        self.metrics.incr("locks_failed");
+        self.metrics.incr(Machine::LocksFailed);
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
         if let Some((lock, _)) = self.threads[ti].waiting_on.take() {
             let now = self.sim.now();
@@ -747,7 +748,7 @@ impl Mach {
         } else {
             self.net_send(now + extra, s, d, class)
         };
-        self.metrics.incr("backend_wire_msgs");
+        self.metrics.incr(Machine::BackendWireMsgs);
         self.sim
             .schedule_at(arrival, Ev::Wire(WirePayload::new(payload)));
     }
@@ -760,7 +761,7 @@ impl Mach {
             Some(f) => {
                 f.counter += 1;
                 if f.counter % f.period == 0 {
-                    self.metrics.incr("wire_fault_delays");
+                    self.metrics.incr(Machine::WireFaultDelays);
                     t0 + f.extra
                 } else {
                     t0
@@ -769,8 +770,8 @@ impl Mach {
             None => t0,
         };
         self.metrics.incr(match class {
-            MsgClass::Control => "net_control_msgs",
-            MsgClass::Data => "net_data_msgs",
+            MsgClass::Control => Machine::NetControlMsgs,
+            MsgClass::Data => Machine::NetDataMsgs,
         });
         self.tracer.record(|| TraceEvent {
             t: t0,
@@ -827,12 +828,12 @@ impl Mach {
         }
 
         let Some(core) = self.threads[t.0 as usize].core else {
-            self.metrics.incr("watches_dropped_descheduled");
+            self.metrics.incr(Machine::WatchesDroppedDescheduled);
             return;
         };
         let core = core.0 as usize;
         if !self.caches[core].state(line).readable() {
-            self.metrics.incr("watches_fired_immediately");
+            self.metrics.incr(Machine::WatchesFiredImmediately);
             self.sim.schedule_in(0, Ev::WakeNow(t, line));
             return;
         }
@@ -851,7 +852,7 @@ impl Mach {
     /// can trigger a reschedule; a no-op by the time it fires if `t` is
     /// already off-core or no thread is waiting for a core.
     pub fn request_yield(&mut self, t: ThreadId) {
-        self.metrics.incr("yield_requests");
+        self.metrics.incr(Machine::YieldRequests);
         self.sim.schedule_in(0, Ev::YieldNow(t));
     }
 
@@ -1111,13 +1112,19 @@ impl World {
         self.backend.debug_state()
     }
 
-    /// The lock backend's counters plus machine counters (network message
-    /// counts are folded into the machine counters at each send).
+    /// The lock backend's counters plus machine and directory counters
+    /// (network message counts are folded into the machine counters at each
+    /// send).
     pub fn report_counters(&self) -> Counters {
-        let mut c = self.mach.metrics.counters().clone();
-        c.merge(&self.backend.counters());
+        let mut c = self.backend_and_dir_counters();
+        c.merge(self.mach.metrics.counters());
+        c
+    }
+
+    fn backend_and_dir_counters(&self) -> Counters {
+        let mut c = self.backend.counters();
         for d in &self.mach.dirs {
-            c.merge(d.counters());
+            c.merge_tally(d.counters());
         }
         c
     }
@@ -1126,26 +1133,24 @@ impl World {
     /// and network-derived counters, plus all latency histograms. The
     /// rendering of this snapshot is deterministic for a given seed.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut net = Counters::new();
-        net.add("net_queue_delay_cycles", self.mach.net.total_queue_delay());
+        let mut extra = self.backend_and_dir_counters();
+        extra.add(
+            Gauge::NetQueueDelayCycles,
+            self.mach.net.total_queue_delay(),
+        );
         let (mut busy, mut msgs) = (0u64, 0u64);
         for l in self.mach.net.link_stats() {
             busy += l.busy_cycles;
             msgs += l.messages;
         }
-        net.add("net_link_busy_cycles", busy);
-        net.add("net_link_msgs", msgs);
+        extra.add(Gauge::NetLinkBusyCycles, busy);
+        extra.add(Gauge::NetLinkMsgs, msgs);
         // Event-queue telemetry: all simulation-derived, so deterministic
         // for a given seed like every other counter here.
-        net.add("evq_events", self.mach.sim.events_processed());
-        net.add("evq_scheduled", self.mach.sim.events_scheduled());
-        net.add("evq_peak_pending", self.mach.sim.peak_pending() as u64);
-        let backend = self.backend.counters();
-        let mut extra: Vec<&Counters> = vec![&backend, &net];
-        for d in &self.mach.dirs {
-            extra.push(d.counters());
-        }
-        self.mach.metrics.snapshot(extra)
+        extra.add(Gauge::EvqEvents, self.mach.sim.events_processed());
+        extra.add(Gauge::EvqScheduled, self.mach.sim.events_scheduled());
+        extra.add(Gauge::EvqPeakPending, self.mach.sim.peak_pending() as u64);
+        self.mach.metrics.snapshot(&extra)
     }
 
     /// Thread `t`'s cycle dissection (see [`CycleDissection`]).
@@ -1205,7 +1210,7 @@ impl World {
         self.mach.cores[from.0 as usize] = None;
         self.mach.threads[ti].core = None;
         self.backend.on_thread_descheduled(&mut self.mach, t);
-        self.mach.metrics.incr("migrations");
+        self.mach.metrics.incr(Machine::Migrations);
         self.mach.acct_switch(ti, CycleCat::Preempted);
         self.mach.trace(|now| TraceEvent {
             t: now,
@@ -1289,7 +1294,7 @@ impl World {
             return false;
         }
         self.mach.threads[ti].suspended = true;
-        self.mach.metrics.incr("fault_suspensions");
+        self.mach.metrics.incr(Machine::FaultSuspensions);
         let core = self.mach.threads[ti].core;
         if core.is_some() {
             self.deschedule_to_ready(t);
@@ -1312,7 +1317,7 @@ impl World {
             return false;
         }
         self.mach.threads[ti].suspended = false;
-        self.mach.metrics.incr("fault_resumes");
+        self.mach.metrics.incr(Machine::FaultResumes);
         if let Some(core) = self.mach.cores.iter().position(|c| c.is_none()) {
             self.install(t, core, self.mach.cfg.ctx_switch);
         } else {
@@ -1336,7 +1341,7 @@ impl World {
         if let Some(victim) = self.mach.cores[to] {
             self.deschedule_to_ready(victim);
         }
-        self.mach.metrics.incr("migrations");
+        self.mach.metrics.incr(Machine::Migrations);
         match self.mach.threads[ti].core {
             Some(from) => {
                 self.mach.cores[from.0 as usize] = None;
@@ -1662,7 +1667,7 @@ impl World {
             return;
         }
         let core = th.core.expect("checked on-core");
-        self.mach.metrics.incr("yields_taken");
+        self.mach.metrics.incr(Machine::YieldsTaken);
         self.deschedule_to_ready(t);
         if let Some(next) = self.mach.ready.pop_front() {
             self.install(next, core.0 as usize, self.mach.cfg.ctx_switch);
@@ -1697,7 +1702,7 @@ impl World {
             None => self.mach.apply_mem(pm),
         };
         let served_in = self.mach.sim.now().saturating_since(pm.issued);
-        self.mach.metrics.observe("mem_op_cycles", served_in);
+        self.mach.metrics.observe(Hist::MemOpCycles, served_in);
         if self.mach.dbg.watch_line == Some(line.0) {
             eprintln!(
                 "[{}] complete_mem cache={cache} addr={} kind={:?} issuer={:?} val={value:#x}",
@@ -1860,7 +1865,7 @@ impl World {
                 {
                     let (_, since) = self.mach.threads[ti].holding.remove(pos);
                     let held = self.mach.sim.now().saturating_since(since);
-                    self.mach.metrics.observe("lock_hold_cycles", held);
+                    self.mach.metrics.observe(Hist::LockHoldCycles, held);
                     self.mach
                         .lockstat
                         .on_release(lock.0, t.0, mode == Mode::Write, held);

@@ -365,7 +365,7 @@ fn migration_moves_thread_to_new_core() {
     assert_eq!(w.mach().core_of(t).map(|c| c.0), Some(0));
     w.migrate(t, 2);
     w.run_to_completion();
-    assert_eq!(w.mach().counters_mut().get("migrations"), 1);
+    assert_eq!(w.mach().counters().get("migrations"), 1);
 }
 
 #[test]
@@ -516,7 +516,7 @@ fn force_migrate_evicts_target_occupant() {
     // up t0's vacated core.
     assert!(w.force_migrate(t0, c1));
     w.run_to_completion();
-    assert!(w.mach().counters_mut().get("migrations") >= 1);
+    assert!(w.mach().counters().get("migrations") >= 1);
     assert!(w.mach().thread_stats(t1).preemptions >= 1);
 }
 
@@ -544,7 +544,7 @@ fn wire_fault_delays_messages_deterministically() {
         w.run_to_completion();
         (
             w.mach().now().cycles(),
-            w.mach().counters_mut().get("wire_fault_delays"),
+            w.mach().counters().get("wire_fault_delays"),
         )
     };
     let (clean, d0) = run(false);

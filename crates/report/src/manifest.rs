@@ -402,16 +402,19 @@ pub fn read_manifests(dir: &Path) -> Vec<(String, RunManifest)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locksim_engine::catalog::{Gauge, Hist, Machine};
+    use locksim_engine::stats::Counters;
     use locksim_trace::MetricsRegistry;
 
     fn sample() -> RunManifest {
         let mut reg = MetricsRegistry::new();
-        reg.incr("locks_granted");
-        reg.add("evq_events", 100);
+        reg.incr(Machine::LocksGranted);
         for v in [10u64, 20, 30, 4000] {
-            reg.observe("lock_wait_cycles", v);
+            reg.observe(Hist::LockWaitCycles, v);
         }
-        let snap = reg.snapshot([]);
+        let mut gauges = Counters::new();
+        gauges.add(Gauge::EvqEvents, 100);
+        let snap = reg.snapshot(&gauges);
         let mut sc = locksim_trace::SeriesCollector::new();
         sc.enable(100);
         sc.on_grant(10, 5);
@@ -459,7 +462,7 @@ mod tests {
     #[test]
     fn empty_series_is_omitted() {
         let reg = MetricsRegistry::new();
-        let snap = reg.snapshot([]);
+        let snap = reg.snapshot(&Counters::new());
         let empty = locksim_trace::SeriesCollector::new().snapshot();
         let m = RunManifest::from_snapshot("x", "y", "", 1, 2, vec![], &snap, Some(&empty));
         assert!(m.series.is_none());

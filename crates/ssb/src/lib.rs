@@ -33,7 +33,8 @@
 //! w.run_to_completion();
 //! ```
 
-use locksim_engine::stats::{Counters, FxHashMap};
+use locksim_engine::catalog::Ssb;
+use locksim_engine::stats::{Counters, FxHashMap, Tally};
 use locksim_engine::{Cycles, Time};
 use locksim_machine::{Addr, Checker, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
 use locksim_topo::MsgClass;
@@ -96,7 +97,7 @@ pub struct SsbBackend {
     pending: FxHashMap<ThreadId, Pending>,
     retry_timers: FxHashMap<u64, ThreadId>,
     timer_seq: u64,
-    counters: Counters,
+    counters: Tally<Ssb>,
     checker: Checker,
 }
 
@@ -123,7 +124,7 @@ impl SsbBackend {
         };
         let core = core.0 as usize;
         let home = m.home_of(p.addr);
-        self.counters.incr("ssb_requests");
+        self.counters.incr(Ssb::Requests);
         let msg = SsbMsg::Req {
             addr: p.addr,
             tid: t,
@@ -156,7 +157,7 @@ impl SsbBackend {
                             // Table full: deny; the requestor's software
                             // retry loop stands in for the SSB's software
                             // fallback path.
-                            self.counters.incr("ssb_overflow_denials");
+                            self.counters.incr(Ssb::OverflowDenials);
                             false
                         } else {
                             bank.insert(
@@ -178,7 +179,7 @@ impl SsbBackend {
                     _ => false,
                 };
                 let reply = if granted {
-                    self.counters.incr("ssb_grants");
+                    self.counters.incr(Ssb::Grants);
                     m.trace_entry_state(
                         Ep::Mem(home),
                         addr,
@@ -189,7 +190,7 @@ impl SsbBackend {
                     );
                     SsbMsg::Grant { addr, tid, mode }
                 } else {
-                    self.counters.incr("ssb_denials");
+                    self.counters.incr(Ssb::Denials);
                     SsbMsg::Deny { addr, tid }
                 };
                 let lat = m.cfg().lrt_latency;
@@ -262,7 +263,7 @@ impl LockBackend for SsbBackend {
             .on_release_traced(lock, t, mode, m.tracer(), m.lockstat());
         let core = m.core_of(t).expect("release from scheduled thread").0 as usize;
         let home = m.home_of(lock);
-        self.counters.incr("ssb_releases");
+        self.counters.incr(Ssb::Releases);
         let msg = SsbMsg::Rel {
             addr: lock,
             tid: t,
@@ -283,7 +284,7 @@ impl LockBackend for SsbBackend {
                 if !wants {
                     // Trylock expired while the grant was in flight: give
                     // the lock straight back.
-                    self.counters.incr("ssb_orphan_grants");
+                    self.counters.incr(Ssb::OrphanGrants);
                     let home = m.home_of(addr);
                     // The ack will go to whatever core; nobody waits on it.
                     let core = m.core_of(tid).map(|c| c.0 as usize).unwrap_or(0);
@@ -310,13 +311,13 @@ impl LockBackend for SsbBackend {
                 if let Some(deadline) = p.deadline {
                     if m.now() >= deadline {
                         self.pending.remove(&tid);
-                        self.counters.incr("ssb_try_expires");
+                        self.counters.incr(Ssb::TryExpires);
                         m.fail_lock(tid);
                         return;
                     }
                 }
-                self.counters.incr("ssb_retries");
-                m.lockstat_bump(addr, "ssb_remote_retries");
+                self.counters.incr(Ssb::Retries);
+                m.lockstat_bump(addr, Ssb::RemoteRetries);
                 self.arm_retry(m, tid);
             }
             SsbMsg::RelAck { tid, orphan } => {
@@ -342,12 +343,12 @@ impl LockBackend for SsbBackend {
         // fault attribution.
         if let Some(p) = self.pending.get(&t) {
             let addr = p.addr;
-            self.counters.incr("ssb_descheduled_midop");
-            m.lockstat_bump(addr, "ssb_descheduled_midop");
+            self.counters.incr(Ssb::DescheduledMidop);
+            m.lockstat_bump(addr, Ssb::DescheduledMidop);
         }
     }
 
     fn counters(&self) -> Counters {
-        self.counters.clone()
+        Counters::from(&self.counters)
     }
 }

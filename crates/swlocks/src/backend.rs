@@ -1,6 +1,7 @@
 //! The software-lock [`LockBackend`]: routes machine events into the
 //! per-algorithm state machines.
 
+use locksim_engine::catalog::Sw;
 use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 use locksim_machine::{Addr, CoreId, LineAddr, LockBackend, Mach, Mode, ThreadId};
@@ -231,7 +232,7 @@ impl LockBackend for SwLockBackend {
         // A preempted thread executes nothing: drop the wake and let
         // `on_thread_scheduled` re-drive the spin loop with a fresh read.
         if !m.is_scheduled(t) {
-            self.st.counters.incr("sw_wakes_dropped_offcore");
+            self.st.counters.incr(Sw::WakesDroppedOffcore);
             return;
         }
         // A real invalidation means the line the spin watches changed —
@@ -263,9 +264,9 @@ impl LockBackend for SwLockBackend {
                     if !m.is_scheduled(t) {
                         return;
                     }
-                    self.st.counters.incr("sw_fallback_redrives");
+                    self.st.counters.incr(Sw::FallbackRedrives);
                     if let Some(lock) = self.st.threads.get(&t).map(|tsm| tsm.lock) {
-                        m.lockstat_bump(lock, "sw_fallback_redrives");
+                        m.lockstat_bump(lock, Sw::FallbackRedrives);
                     }
                     let futile = {
                         let tsm = self.st.threads.get_mut(&t).expect("stuck checked");
@@ -280,7 +281,7 @@ impl LockBackend for SwLockBackend {
                         // gets a core well before the next quantum tick.
                         // The re-drive runs when this thread is
                         // rescheduled.
-                        self.st.counters.incr("sw_spin_yields");
+                        self.st.counters.incr(Sw::SpinYields);
                         m.request_yield(t);
                     } else {
                         self.redrive(m, t);
@@ -314,13 +315,13 @@ impl LockBackend for SwLockBackend {
         // can attribute the resulting stalls.
         if let Some(tsm) = self.st.threads.get(&t) {
             let lock = tsm.lock;
-            self.st.counters.incr("sw_descheduled_midop");
-            m.lockstat_bump(lock, "sw_descheduled_midop");
+            self.st.counters.incr(Sw::DescheduledMidop);
+            m.lockstat_bump(lock, Sw::DescheduledMidop);
         }
     }
 
     fn counters(&self) -> Counters {
-        self.st.counters.clone()
+        Counters::from(&self.st.counters)
     }
 
     fn debug_state(&self) -> String {

@@ -21,6 +21,7 @@
 //! always empties its slot before blocking on the underlying lock, so
 //! revocation can never deadlock against a waiting reader.
 
+use locksim_engine::catalog::Sw;
 use locksim_machine::{Addr, Mach, RmwOp, ThreadId};
 
 use crate::state::{
@@ -62,7 +63,7 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 
 /// Diverts an acquiring reader onto the underlying MRSW read lock.
 fn slow_path(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    st.counters.incr("sw_bravo_slow_reads");
+    st.counters.incr(Sw::BravoSlowReads);
     let lock = st.threads[&t].lock;
     let lm = st.lock_mem(m, lock);
     let tsm = st.threads.get_mut(&t).expect("tsm");
@@ -77,7 +78,7 @@ pub(crate) fn slow_read_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     st.rpaths.insert((t, lock), ReaderPath::Slow);
     let meta = st.bravo_meta(m, lock);
     if m.now().cycles() >= meta.inhibit_until {
-        st.counters.incr("sw_bravo_rebias");
+        st.counters.incr(Sw::BravoRebias);
         let tsm = st.threads.get_mut(&t).expect("tsm");
         tsm.phase = Phase::BravoRSetBias;
         write(m, t, meta.bias, 1);
@@ -133,7 +134,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             } else {
                 // Slot collision (another reader, possibly of another
                 // lock): fall back without publishing.
-                st.counters.incr("sw_bravo_slot_collisions");
+                st.counters.incr(Sw::BravoSlotCollisions);
                 slow_path(st, m, t);
             }
         }
@@ -141,7 +142,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if b == 1 {
                 let i = st.threads[&t].scratch as usize;
                 st.rpaths.insert((t, lock), ReaderPath::Fast(i));
-                st.counters.incr("sw_bravo_fast_reads");
+                st.counters.incr(Sw::BravoFastReads);
                 st.grant(m, t);
             } else {
                 // A writer revoked the bias between publish and re-check:
@@ -163,8 +164,8 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if b == 0 {
                 st.grant(m, t);
             } else {
-                st.counters.incr("sw_bravo_revocations");
-                m.lockstat_bump(lock, "sw_bravo_revocations");
+                st.counters.incr(Sw::BravoRevocations);
+                m.lockstat_bump(lock, Sw::BravoRevocations);
                 let meta = st.bravo_meta(m, lock);
                 let tsm = st.threads.get_mut(&t).expect("tsm");
                 tsm.phase = Phase::BravoWClearBias;

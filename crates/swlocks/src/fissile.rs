@@ -19,6 +19,7 @@
 //! with no separate writer-active line), while writers pay the extra MCS
 //! queue traffic only among themselves.
 
+use locksim_engine::catalog::Sw;
 use locksim_machine::{Mach, RmwOp, ThreadId};
 
 use crate::state::{read, rmw, OpKind, Phase, Step, SwState};
@@ -74,12 +75,12 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         // ---- reader acquire ----
         (Phase::FisRInc, Step::Value(old)) => {
             if old & WRITE_BIT == 0 {
-                st.counters.incr("sw_fissile_read_fast");
+                st.counters.incr(Sw::FissileReadFast);
                 st.grant(m, t);
             } else {
                 // Writer present: roll the aggregation back and wait.
                 tsm.phase = Phase::FisRDec;
-                st.counters.incr("sw_fissile_rollbacks");
+                st.counters.incr(Sw::FissileRollbacks);
                 rmw(m, t, word, RmwOp::FetchAdd(R_UNIT.wrapping_neg()));
             }
         }
@@ -110,7 +111,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 st.grant(m, t);
             } else {
                 tsm.phase = Phase::FisWReadWord;
-                st.counters.incr("sw_fissile_writer_waits");
+                st.counters.incr(Sw::FissileWriterWaits);
                 read(m, t, word);
             }
         }

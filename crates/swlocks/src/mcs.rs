@@ -6,6 +6,7 @@
 //! MCS-acquisition an MRSW writer continues into the reader-drain phases
 //! instead of being granted.
 
+use locksim_engine::catalog::Sw;
 use locksim_machine::{Addr, Mach, RmwOp, ThreadId};
 
 use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState};
@@ -77,7 +78,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 mcs_acquired(st, m, t);
             } else {
                 tsm.phase = Phase::McsSpinWait;
-                st.counters.incr("sw_mcs_spins");
+                st.counters.incr(Sw::McsSpins);
                 st.guarded_watch(m, t, q.add(1));
             }
         }

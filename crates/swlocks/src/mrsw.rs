@@ -11,6 +11,7 @@
 //! Release hands off to the next queued writer directly (keeping `wactive`
 //! set) or clears `wactive`, waking readers.
 
+use locksim_engine::catalog::Sw;
 use locksim_machine::{Mach, RmwOp, ThreadId};
 
 use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState};
@@ -74,7 +75,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             } else {
                 // Roll back and wait for the writer to finish.
                 tsm.phase = Phase::MrswRDec;
-                st.counters.incr("sw_mrsw_rollbacks");
+                st.counters.incr(Sw::MrswRollbacks);
                 rmw(m, t, lm.rdr, RmwOp::FetchAdd(MINUS_ONE));
             }
         }
@@ -108,7 +109,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 write_locked(st, m, t);
             } else {
                 tsm.phase = Phase::MrswWWaitRdr;
-                st.counters.incr("sw_mrsw_writer_waits");
+                st.counters.incr(Sw::MrswWriterWaits);
                 st.guarded_watch(m, t, lm.rdr);
             }
         }

@@ -1,6 +1,7 @@
 //! Shared state for the software-lock state machines.
 
-use locksim_engine::stats::{Counters, FxHashMap};
+use locksim_engine::catalog::Sw;
+use locksim_engine::stats::{FxHashMap, Tally};
 
 use locksim_machine::{Addr, Checker, Mach, MemKind, Mode, RmwOp, ThreadId};
 
@@ -213,7 +214,7 @@ pub(crate) struct SwState {
     pub qnodes: FxHashMap<(ThreadId, Addr), Addr>,
     pub timers: FxHashMap<u64, (ThreadId, TimerPurpose)>,
     pub timer_seq: u64,
-    pub counters: Counters,
+    pub counters: Tally<Sw>,
     pub checker: Checker,
     /// BRAVO per-lock metadata (lazily allocated; empty for other algs so
     /// the allocation sequence of existing algorithms is untouched).
@@ -235,7 +236,7 @@ impl SwState {
             qnodes: FxHashMap::default(),
             timers: FxHashMap::default(),
             timer_seq: 0,
-            counters: Counters::new(),
+            counters: Tally::new(),
             checker: Checker::new(),
             bravo: FxHashMap::default(),
             rtable: Vec::new(),
@@ -332,14 +333,14 @@ impl SwState {
         debug_assert_eq!(tsm.op, OpKind::Acquire);
         self.checker
             .on_grant_traced(tsm.lock, t, tsm.mode, m.tracer(), m.lockstat());
-        self.counters.incr("sw_grants");
+        self.counters.incr(Sw::Grants);
         m.grant_lock(t);
     }
 
     /// Completes a failed trylock.
     pub fn fail(&mut self, m: &mut Mach, t: ThreadId) {
         self.threads.remove(&t);
-        self.counters.incr("sw_tryfails");
+        self.counters.incr(Sw::Tryfails);
         m.fail_lock(t);
     }
 
@@ -353,7 +354,7 @@ impl SwState {
             .remove(&t)
             .expect("release completion without op");
         debug_assert_eq!(tsm.op, OpKind::Release);
-        self.counters.incr("sw_releases");
+        self.counters.incr(Sw::Releases);
         m.complete_release(t);
     }
 }

@@ -5,6 +5,7 @@
 //! shared copy and swaps only when it reads 0; the adaptive mutex is TATAS
 //! with a park after a few fruitless wake-ups.
 
+use locksim_engine::catalog::Sw;
 use locksim_machine::{Mach, RmwOp, ThreadId};
 
 use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState, Tsm};
@@ -57,7 +58,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
             } else if old == 0 {
                 st.grant(m, t);
             } else {
-                st.counters.incr("sw_tas_retries");
+                st.counters.incr(Sw::TasRetries);
                 rmw(m, t, lock, RmwOp::Swap(1));
             }
         }
@@ -72,7 +73,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
                 tsm.spins += 1;
                 if posix && tsm.spins > POSIX_SPIN_LIMIT {
                     tsm.phase = Phase::PosixParked;
-                    st.counters.incr("sw_posix_parks");
+                    st.counters.incr(Sw::PosixParks);
                     st.park(m, t, POSIX_PARK);
                 } else {
                     st.guarded_watch(m, t, lock);
@@ -92,7 +93,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
             } else {
                 // Lost the race: back to spinning.
                 tsm.phase = Phase::TatasRead;
-                st.counters.incr("sw_tatas_races");
+                st.counters.incr(Sw::TatasRaces);
                 read(m, t, lock);
             }
         }

@@ -5,9 +5,9 @@
 //! [`LockStats`] is keyed by lock line address and records, per lock:
 //! acquires/releases split by reader/writer mode, trylock failures,
 //! hold-time and handoff-latency quantile sketches, queue-depth and
-//! reader-group waterlines, per-mode maximum waits, and free-form
-//! per-backend auxiliary counters (SSB remote retries, LCU direct
-//! transfers, ...).
+//! reader-group waterlines, per-mode maximum waits, and per-backend
+//! auxiliary catalog counters (SSB remote retries, LCU direct transfers,
+//! ...).
 //!
 //! The **starvation watchdog** rides on the same feed: every waiter's
 //! enqueue time is tracked, and any wait resolving (grant or trylock
@@ -24,6 +24,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use locksim_engine::catalog::Ctr;
 
 use crate::sketch::QuantileSketch;
 
@@ -58,8 +60,9 @@ pub struct LockStat {
     /// Largest concurrent reader group ever granted.
     pub max_readers: u32,
     /// Backend-specific per-lock counters (e.g. `ssb_remote_retries`,
-    /// `lcu_direct_transfers`), bumped via [`LockStats::bump`].
-    pub aux: BTreeMap<&'static str, u64>,
+    /// `lcu_direct_transfers`), bumped via [`LockStats::bump`]; in name
+    /// order.
+    pub aux: Vec<(Ctr, u64)>,
 }
 
 impl LockStat {
@@ -261,17 +264,19 @@ impl LockStats {
 
     /// Bumps a backend-specific per-lock counter (deterministic name order
     /// in reports).
-    pub fn bump(&mut self, lock: u64, name: &'static str) {
+    pub fn bump(&mut self, lock: u64, c: impl Into<Ctr>) {
         if !self.enabled {
             return;
         }
-        *self
-            .locks
-            .entry(lock)
-            .or_default()
-            .aux
-            .entry(name)
-            .or_insert(0) += 1;
+        let c = c.into();
+        let aux = &mut self.locks.entry(lock).or_default().aux;
+        match aux.iter_mut().find(|(k, _)| *k == c) {
+            Some((_, v)) => *v += 1,
+            None => {
+                let at = aux.partition_point(|(k, _)| k.name() < c.name());
+                aux.insert(at, (c, 1));
+            }
+        }
     }
 
     fn watchdog_check(
@@ -395,6 +400,7 @@ impl LockStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locksim_engine::catalog::{Core, Ssb};
 
     #[test]
     fn disabled_records_nothing() {
@@ -402,7 +408,7 @@ mod tests {
         ls.on_request(0x40, 0, true, 0);
         assert!(ls.on_grant(0x40, 0, true, 10, 10).is_none());
         ls.on_release(0x40, 0, true, 5);
-        ls.bump(0x40, "x");
+        ls.bump(0x40, Ssb::RemoteRetries);
         assert_eq!(ls.locks().count(), 0);
         assert!(ls.report(100).contains("disabled"));
     }
@@ -492,12 +498,13 @@ mod tests {
     fn aux_counters_render_in_name_order() {
         let mut ls = LockStats::new();
         ls.enable(None);
-        ls.bump(0x40, "zeta");
-        ls.bump(0x40, "alpha");
-        ls.bump(0x40, "alpha");
+        // Bumped in the reverse of name order.
+        ls.bump(0x40, Ssb::RemoteRetries);
+        ls.bump(0x40, Core::LcuDirectTransfers);
+        ls.bump(0x40, Core::LcuDirectTransfers);
         let snap = ls.lock_snapshot(0x40);
-        let a = snap.find("alpha=2").unwrap();
-        let z = snap.find("zeta=1").unwrap();
+        let a = snap.find("lcu_direct_transfers=2").unwrap();
+        let z = snap.find("ssb_remote_retries=1").unwrap();
         assert!(a < z, "{snap}");
     }
 

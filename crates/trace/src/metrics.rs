@@ -1,18 +1,18 @@
-//! The metrics registry: named counters plus latency sketches with
+//! The metrics registry: catalog counters plus latency sketches with
 //! p50–p99.99 summaries.
 //!
-//! Counters reuse [`locksim_engine::stats::Counters`] (the type every
-//! backend already reports), so the registry slots into the existing
-//! `report_counters()` flow; each latency metric is one
-//! [`QuantileSketch`], which bounds relative quantile error and reads the
-//! whole p50–p99.99 tail from one estimator, so a summary's quantiles are
-//! always monotone. A [`MetricsSnapshot`] is an owned, deterministic
-//! rendering of all of it — used by the harness for its metrics tables,
-//! by the run-manifest ledger (which embeds the serialized sketches), and
-//! by the golden determinism tests, which compare snapshots byte-for-byte.
+//! Counters are [`locksim_engine::stats::Counters`] slots indexed by
+//! [`catalog`](locksim_engine::catalog) id (the same bag every backend
+//! reports), so the registry slots into the existing `report_counters()`
+//! flow; each [`Hist`] is one [`QuantileSketch`], which bounds relative
+//! quantile error and reads the whole p50–p99.99 tail from one estimator,
+//! so a summary's quantiles are always monotone. A [`MetricsSnapshot`] is
+//! an owned, deterministic rendering of all of it — used by the harness for
+//! its metrics tables, by the run-manifest ledger (which embeds the
+//! serialized sketches), and by the golden determinism tests, which compare
+//! snapshots byte-for-byte.
 
-use std::collections::BTreeMap;
-
+use locksim_engine::catalog::{Ctr, Hist};
 use locksim_engine::stats::Counters;
 
 use crate::sketch::QuantileSketch;
@@ -21,7 +21,7 @@ use crate::sketch::QuantileSketch;
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Counters,
-    hists: BTreeMap<&'static str, QuantileSketch>,
+    hists: [QuantileSketch; Hist::ALL.len()],
 }
 
 impl MetricsRegistry {
@@ -30,53 +30,42 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The counter bundle (for reading and merging).
+    /// The counter bag.
     pub fn counters(&self) -> &Counters {
         &self.counters
     }
 
-    /// Mutable access for components that count through the registry.
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
+    /// Increments counter `c`.
+    #[inline]
+    pub fn incr(&mut self, c: impl Into<Ctr>) {
+        self.counters.add(c, 1);
     }
 
-    /// Increments counter `name`.
-    pub fn incr(&mut self, name: &'static str) {
-        self.counters.incr(name);
-    }
-
-    /// Adds `n` to counter `name`.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        self.counters.add(name, n);
-    }
-
-    /// Records a latency sample into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, cycles: u64) {
+    /// Records a latency sample into histogram `h`.
+    pub fn observe(&mut self, h: Hist, cycles: u64) {
         crate::prof::count("metrics/hist_samples", 1);
-        self.hists.entry(name).or_default().add(cycles);
+        self.hists[h as usize].add(cycles);
     }
 
-    /// Histogram `name`, if any samples were recorded.
-    pub fn hist(&self, name: &str) -> Option<&QuantileSketch> {
-        self.hists.get(name)
+    /// Histogram `h`, if any samples were recorded.
+    pub fn hist(&self, h: Hist) -> Option<&QuantileSketch> {
+        Some(&self.hists[h as usize]).filter(|s| s.count() > 0)
     }
 
-    /// Iterates `(name, histogram)` in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &QuantileSketch)> + '_ {
-        self.hists.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Owned summary of everything recorded, merged with `extra` counter
-    /// bundles (backend/directory counters reported at end of run).
-    pub fn snapshot<'a>(&self, extra: impl IntoIterator<Item = &'a Counters>) -> MetricsSnapshot {
+    /// Owned summary of everything recorded, merged with the `extra`
+    /// counters (backend, directory and network counters reported at end of
+    /// run). Histograms are listed in name order.
+    pub fn snapshot(&self, extra: &Counters) -> MetricsSnapshot {
         let mut counters = self.counters.clone();
-        for c in extra {
-            counters.merge(c);
-        }
-        let hists = self
-            .hists
+        counters.merge(extra);
+        let mut recorded: Vec<(&'static str, &QuantileSketch)> = Hist::ALL
             .iter()
-            .map(|(&name, h)| {
+            .filter_map(|&h| self.hist(h).map(|s| (h.name(), s)))
+            .collect();
+        recorded.sort_unstable_by_key(|&(name, _)| name);
+        let hists = recorded
+            .iter()
+            .map(|&(name, h)| {
                 let t = h.tail_summary();
                 HistSummary {
                     name,
@@ -90,10 +79,9 @@ impl MetricsRegistry {
                 }
             })
             .collect();
-        let sketches = self
-            .hists
+        let sketches = recorded
             .iter()
-            .map(|(&name, h)| (name.to_string(), h.to_text()))
+            .map(|&(name, h)| (name.to_string(), h.to_text()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -161,14 +149,17 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locksim_engine::catalog::{Dir, Machine};
+
+    const LAT: Hist = Hist::LockWaitCycles;
 
     #[test]
     fn observe_and_quantiles() {
         let mut m = MetricsRegistry::new();
         for v in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 1000] {
-            m.observe("wait", v);
+            m.observe(LAT, v);
         }
-        let h = m.hist("wait").unwrap();
+        let h = m.hist(LAT).unwrap();
         assert_eq!(h.count(), 10);
         assert_eq!(h.quantile(0.5), Some(1));
         // 1000 lands in the sketch bucket [992, 1008).
@@ -180,9 +171,9 @@ mod tests {
         let summary = |samples: &[u64]| {
             let mut m = MetricsRegistry::new();
             for &v in samples {
-                m.observe("lat", v);
+                m.observe(LAT, v);
             }
-            m.snapshot([]).hists
+            m.snapshot(&Counters::new()).hists
         };
         assert!(summary(&[]).is_empty());
         // A single sample is every quantile.
@@ -199,26 +190,30 @@ mod tests {
     #[test]
     fn snapshot_merges_extra_counters_and_renders_deterministically() {
         let mut m = MetricsRegistry::new();
-        m.incr("a");
-        m.add("b", 3);
-        m.observe("lat", 16);
+        m.incr(Machine::LocksGranted);
+        m.incr(Machine::Migrations);
+        m.incr(Machine::Migrations);
+        m.incr(Machine::Migrations);
+        m.observe(Hist::MemOpCycles, 16);
+        m.observe(LAT, 16);
         let mut backend = Counters::new();
-        backend.add("b", 2);
-        backend.add("c", 1);
-        let snap = m.snapshot([&backend]);
-        assert_eq!(snap.counters.get("b"), 5);
-        assert_eq!(snap.counters.get("c"), 1);
+        backend.add(Machine::Migrations, 2);
+        backend.add(Dir::Gets, 1);
+        let snap = m.snapshot(&backend);
+        assert_eq!(snap.counters.get("migrations"), 5);
+        assert_eq!(snap.counters.get("dir_gets"), 1);
         let r = snap.render();
         assert_eq!(
             r,
-            "counter a 1\ncounter b 5\ncounter c 1\n\
-             hist lat count 1 p50 16 p95 16 p99 16 p999 16 p9999 16 max 16\n"
+            "counter dir_gets 1\ncounter locks_granted 1\ncounter migrations 5\n\
+             hist lock_wait_cycles count 1 p50 16 p95 16 p99 16 p999 16 p9999 16 max 16\n\
+             hist mem_op_cycles count 1 p50 16 p95 16 p99 16 p999 16 p9999 16 max 16\n"
         );
         // Identical input → identical rendering.
-        assert_eq!(r, m.snapshot([&backend]).render());
-        // The snapshot carries the serialized sketch for the ledger.
-        assert_eq!(snap.sketches.len(), 1);
-        assert_eq!(snap.sketches[0].0, "lat");
+        assert_eq!(r, m.snapshot(&backend).render());
+        // The snapshot carries the serialized sketches for the ledger.
+        assert_eq!(snap.sketches.len(), 2);
+        assert_eq!(snap.sketches[0].0, "lock_wait_cycles");
         let parsed = crate::sketch::QuantileSketch::from_text(&snap.sketches[0].1).unwrap();
         assert_eq!(parsed.count(), 1);
         assert_eq!(parsed.max(), Some(16));
@@ -228,9 +223,9 @@ mod tests {
     fn snapshot_tail_quantiles_use_sketch_resolution() {
         let mut m = MetricsRegistry::new();
         for v in 1..=10_000u64 {
-            m.observe("lat", v);
+            m.observe(LAT, v);
         }
-        let snap = m.snapshot([]);
+        let snap = m.snapshot(&Counters::new());
         let h = &snap.hists[0];
         // A power-of-two histogram would round p50 down to 4096; the
         // sketch stays within 1/32 of the true 5000.

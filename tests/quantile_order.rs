@@ -7,6 +7,8 @@
 
 use std::path::{Path, PathBuf};
 
+use locksim::engine::catalog::Hist;
+use locksim::engine::stats::Counters;
 use locksim::report::read_manifests;
 use locksim::trace::MetricsRegistry;
 use proptest::prelude::*;
@@ -121,9 +123,9 @@ proptest! {
                 1 => v % 64,
                 _ => v >> (v % 64),
             };
-            m.observe("lat", sample);
+            m.observe(Hist::LockWaitCycles, sample);
         }
-        let snap = m.snapshot([]);
+        let snap = m.snapshot(&Counters::new());
         let h = &snap.hists[0];
         prop_assert_eq!(h.count, draws.len() as u64);
         let order = check_order([h.p50, h.p95, h.p99, h.p999, h.p9999, h.max]);
