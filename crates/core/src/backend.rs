@@ -8,7 +8,7 @@ use locksim_engine::catalog::Core;
 use locksim_engine::stats::{Counters, FxHashMap, Tally};
 use locksim_engine::Cycles;
 use locksim_machine::{
-    Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload,
+    Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload, WireSlab,
 };
 use locksim_topo::MsgClass;
 
@@ -89,6 +89,8 @@ pub struct LcuBackend {
     held: FxHashMap<(ThreadId, Addr), Held>,
     timers: FxHashMap<u64, TimerKind>,
     timer_seq: u64,
+    /// Protocol messages in flight; the wire carries their tickets.
+    wire: WireSlab<ToLcu>,
     counters: Tally<Core>,
     checker: Checker,
     initialized: bool,
@@ -112,6 +114,7 @@ impl LcuBackend {
             held: FxHashMap::default(),
             timers: FxHashMap::default(),
             timer_seq: 0,
+            wire: WireSlab::new(),
             counters: Tally::new(),
             checker: Checker::new(),
             initialized: false,
@@ -143,12 +146,13 @@ impl LcuBackend {
     fn send_to_lrt(&mut self, m: &mut Mach, from_core: usize, msg: Msg) {
         let home = m.home_of(msg.addr());
         let extra = m.cfg().lcu_latency;
+        let ticket = self.wire.put(ToLcu { core: None, msg });
         m.send_wire(
             Ep::Core(from_core),
             Ep::Mem(home),
             MsgClass::Control,
             extra,
-            msg,
+            ticket,
         );
     }
 
@@ -163,39 +167,39 @@ impl LcuBackend {
         msg: Msg,
     ) {
         let extra = m.cfg().lrt_latency + penalty;
-        let wrapped = ToLcu { core: to_core, msg };
+        let ticket = self.wire.put(ToLcu {
+            core: Some(to_core),
+            msg,
+        });
         m.send_wire(
             Ep::Mem(from_mem),
             Ep::Core(to_core),
             MsgClass::Control,
             extra,
-            wrapped,
+            ticket,
         );
     }
 
     /// Direct LCU→LCU transfer.
     fn lcu_to_lcu(&mut self, m: &mut Mach, from: usize, to: usize, msg: Msg) {
-        let extra = m.cfg().lcu_latency;
-        let wrapped = ToLcu { core: to, msg };
+        let ticket = self.wire.put(ToLcu {
+            core: Some(to),
+            msg,
+        });
         if from == to {
             // Same-core transfer (two threads sharing a core): model as a
-            // local LCU operation.
-            let home = m.home_of(wrapped.msg.addr());
-            m.send_wire(
-                Ep::Core(from),
-                Ep::Mem(home),
-                MsgClass::Control,
-                0,
-                LoopBack(wrapped),
-            );
+            // local LCU operation, looped via the home memory endpoint.
+            let home = m.home_of(msg.addr());
+            m.send_wire(Ep::Core(from), Ep::Mem(home), MsgClass::Control, 0, ticket);
             return;
         }
+        let extra = m.cfg().lcu_latency;
         m.send_wire(
             Ep::Core(from),
             Ep::Core(to),
             MsgClass::Control,
             extra,
-            wrapped,
+            ticket,
         );
     }
 
@@ -1360,17 +1364,14 @@ fn overflow_penalty(m: &Mach, res: Residency) -> Cycles {
     }
 }
 
-/// An LCU-bound message with its destination core: protocol messages are
-/// physically addressed to a specific LCU, which matters when a migrated
-/// thread briefly has entries at two LCUs.
+/// A protocol message with its destination: `Some(core)` is a specific
+/// LCU (which matters when a migrated thread briefly has entries at two
+/// LCUs), `None` the message's home LRT.
+#[derive(Debug)]
 struct ToLcu {
-    core: usize,
+    core: Option<usize>,
     msg: Msg,
 }
-
-/// Same-core transfers are routed through a loop via the home memory
-/// endpoint to keep using the wire abstraction; the payload marks them.
-struct LoopBack(ToLcu);
 
 impl LockBackend for LcuBackend {
     fn name(&self) -> &'static str {
@@ -1545,25 +1546,16 @@ impl LockBackend for LcuBackend {
 
     fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
         self.ensure_init(m);
-        let payload = match payload.downcast::<LoopBack>() {
-            Ok(lb) => {
-                // Same-core transfer bounced via the home node: handle as a
-                // normal LCU message now.
-                self.lcu_handle(m, lb.0.core, lb.0.msg);
-                return;
+        match self.wire.take(payload) {
+            ToLcu {
+                core: Some(core),
+                msg,
+            } => self.lcu_handle(m, core, msg),
+            ToLcu { core: None, msg } => {
+                let mem = m.home_of(msg.addr());
+                self.lrt_handle(m, mem, msg);
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<ToLcu>() {
-            Ok(tl) => {
-                self.lcu_handle(m, tl.core, tl.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let msg = payload.downcast::<Msg>().expect("unknown wire payload");
-        let mem = m.home_of(msg.addr());
-        self.lrt_handle(m, mem, msg);
+        }
     }
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {
@@ -1761,6 +1753,13 @@ impl LockBackend for LcuBackend {
                     .ok();
                 }
             }
+        }
+        for (ticket, w) in self.wire.in_flight() {
+            match w.core {
+                Some(core) => writeln!(out, "wire {}: to LCU{core} {:?}", ticket.0, w.msg),
+                None => writeln!(out, "wire {}: to home LRT {:?}", ticket.0, w.msg),
+            }
+            .ok();
         }
         let mut c = Counters::from(&self.counters);
         for l in &self.lrts {

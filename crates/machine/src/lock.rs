@@ -49,7 +49,9 @@ pub enum BackendFault {
 /// [`Mach::fail_lock`] and each release with [`Mach::complete_release`].
 ///
 /// Backends model their own timing through [`Mach`] services:
-/// [`Mach::send_wire`] for protocol messages between hardware units,
+/// [`Mach::send_wire`] for protocol messages between hardware units (the
+/// backend keeps each message in its own [`crate::WireSlab`] and sends the
+/// ticket),
 /// [`Mach::backend_mem`] for memory operations executed on a thread's
 /// behalf (software locks), [`Mach::watch_line`] for local spinning, and
 /// [`Mach::set_timer`] for timeouts.
@@ -72,7 +74,8 @@ pub trait LockBackend {
     /// [`Mach::complete_release`].
     fn on_release(&mut self, m: &mut Mach, t: ThreadId, lock: Addr, mode: Mode);
 
-    /// A wire message sent earlier via [`Mach::send_wire`] has arrived.
+    /// A wire message sent earlier via [`Mach::send_wire`] has arrived;
+    /// `payload` is the ticket the backend's [`crate::WireSlab`] issued for it.
     fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
         let _ = (m, payload);
     }

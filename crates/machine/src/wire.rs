@@ -1,180 +1,118 @@
-//! Inline storage for backend wire-message payloads.
+//! Backend wire messages: a plain ticket on the wire, the typed message in
+//! the sending backend's own slab.
 //!
-//! Backend protocol messages ride inside [`crate::world::Ev::Wire`] events.
-//! They used to be `Box<dyn Any>`, which cost one heap allocation and one
-//! free per message — the single largest allocation source in a contended
-//! run (every LCU/SSB request, grant, handoff and loopback is a wire
-//! message). [`WirePayload`] keeps the type-erasure but stores payloads up
-//! to [`WIRE_INLINE`] bytes directly inside the event, falling back to a
-//! box only for oversized types.
+//! Every backend protocol message rides in an `Ev::Wire` event, so the
+//! ticket's size is every queued event's size. A backend
+//! [`WireSlab::put`]s its message, passes the returned [`WirePayload`] to
+//! [`crate::Mach::send_wire`], and [`WireSlab::take`]s the message back out
+//! in [`crate::LockBackend::on_wire`] — the same pattern as timer tokens
+//! behind [`crate::Mach::set_timer`].
 
-use std::any::{Any, TypeId};
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::ptr;
+/// A backend protocol message in flight: a ticket into the sending
+/// backend's [`WireSlab`]. The machine only carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WirePayload(pub u32);
 
-/// Inline capacity in bytes. Sized to fit every backend message type in
-/// the workspace (the largest, `locksim-core`'s LCU `Msg` wrapper, is well
-/// under this) with room for growth; oversized payloads still work via the
-/// boxed fallback.
-pub const WIRE_INLINE: usize = 88;
-
-/// Maximum alignment the inline buffer guarantees.
-const WIRE_ALIGN: usize = 16;
-
-#[repr(align(16))]
-struct Buf([MaybeUninit<u8>; WIRE_INLINE]);
-
-/// A type-erased value stored inline: the payload bytes plus enough
-/// metadata to drop it or cast it back.
-struct InlineAny {
-    tid: TypeId,
-    drop_fn: unsafe fn(*mut u8),
-    buf: Buf,
+/// Typed storage for a backend's in-flight wire messages.
+///
+/// Freed tickets are reused last-in first-out, so the slab grows only to
+/// the peak number of messages in flight and ticket numbers stay
+/// deterministic.
+#[derive(Debug)]
+pub struct WireSlab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
 }
 
-impl InlineAny {
-    // The fat `Err` is the point: returning the payload by value (not a box)
-    // is what keeps the failure path allocation-free.
-    #[allow(clippy::result_large_err)]
-    fn downcast<T: Any>(self) -> Result<T, Self> {
-        if self.tid == TypeId::of::<T>() {
-            // Ownership of the stored value moves to the caller; suppress
-            // our Drop so it is not dropped twice.
-            let this = ManuallyDrop::new(self);
-            // SAFETY: the TypeId matched, so the buffer holds a valid `T`
-            // written by `WirePayload::new`.
-            Ok(unsafe { ptr::read(this.buf.0.as_ptr().cast::<T>()) })
-        } else {
-            Err(self)
+impl<T> Default for WireSlab<T> {
+    fn default() -> Self {
+        WireSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 }
 
-impl Drop for InlineAny {
-    fn drop(&mut self) {
-        // SAFETY: `drop_fn` was instantiated for the exact type written
-        // into the buffer, and the value is still live (downcast suppresses
-        // this Drop on success).
-        unsafe { (self.drop_fn)(self.buf.0.as_mut_ptr().cast::<u8>()) }
+impl<T> WireSlab<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self::default()
     }
-}
 
-enum Repr {
-    Inline(InlineAny),
-    Boxed(Box<dyn Any>),
-}
-
-/// A backend protocol message in flight (opaque to the machine; only the
-/// backend that sent it knows the type). Small payloads live inline in the
-/// event, so sending one allocates nothing.
-pub struct WirePayload(Repr);
-
-unsafe fn drop_raw<T>(p: *mut u8) {
-    // SAFETY: caller guarantees `p` points at a live, properly-aligned `T`.
-    unsafe { ptr::drop_in_place(p.cast::<T>()) }
-}
-
-impl WirePayload {
-    /// Wraps `value`, storing it inline when it fits.
-    pub fn new<P: Any>(value: P) -> Self {
-        if size_of::<P>() <= WIRE_INLINE && align_of::<P>() <= WIRE_ALIGN {
-            let mut buf = Buf([MaybeUninit::uninit(); WIRE_INLINE]);
-            // SAFETY: the buffer is large enough and aligned for `P` (just
-            // checked); `write` takes ownership of `value`.
-            unsafe { ptr::write(buf.0.as_mut_ptr().cast::<P>(), value) };
-            WirePayload(Repr::Inline(InlineAny {
-                tid: TypeId::of::<P>(),
-                drop_fn: drop_raw::<P>,
-                buf,
-            }))
-        } else {
-            WirePayload(Repr::Boxed(Box::new(value)))
+    /// Stores `msg` and returns the ticket to send on the wire.
+    pub fn put(&mut self, msg: T) -> WirePayload {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(msg);
+                WirePayload(i)
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("wire slab overflow");
+                self.slots.push(Some(msg));
+                WirePayload(i)
+            }
         }
     }
 
-    /// True if the payload is a `T`.
-    pub fn is<T: Any>(&self) -> bool {
-        match &self.0 {
-            Repr::Inline(i) => i.tid == TypeId::of::<T>(),
-            Repr::Boxed(b) => b.is::<T>(),
-        }
+    /// Takes the message behind `ticket` back out and frees the ticket.
+    ///
+    /// # Panics
+    ///
+    /// If `ticket` is not in flight (never issued, or already taken).
+    pub fn take(&mut self, ticket: WirePayload) -> T {
+        let msg = self
+            .slots
+            .get_mut(ticket.0 as usize)
+            .and_then(Option::take)
+            .unwrap_or_else(|| panic!("wire ticket {} is not in flight", ticket.0));
+        self.free.push(ticket.0);
+        msg
     }
 
-    /// Takes the payload back out as a `T`, or returns `self` unchanged if
-    /// it holds some other type (mirrors `Box::<dyn Any>::downcast`).
-    // `Err` carries the inline buffer by value; boxing it would defeat the
-    // allocation-free miss path.
-    #[allow(clippy::result_large_err)]
-    pub fn downcast<T: Any>(self) -> Result<T, Self> {
-        match self.0 {
-            Repr::Inline(i) => i.downcast::<T>().map_err(|i| WirePayload(Repr::Inline(i))),
-            Repr::Boxed(b) => match b.downcast::<T>() {
-                Ok(v) => Ok(*v),
-                Err(b) => Err(WirePayload(Repr::Boxed(b))),
-            },
-        }
-    }
-}
-
-impl std::fmt::Debug for WirePayload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Repr::Inline(_) => f.write_str("WirePayload(inline)"),
-            Repr::Boxed(_) => f.write_str("WirePayload(boxed)"),
-        }
+    /// The messages in flight, in ticket order.
+    pub fn in_flight(&self) -> impl Iterator<Item = (WirePayload, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|m| (WirePayload(i as u32), m)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     #[test]
-    fn inline_roundtrip() {
-        let p = WirePayload::new((3u64, 4u32));
-        assert!(p.is::<(u64, u32)>());
-        assert_eq!(p.downcast::<(u64, u32)>().unwrap(), (3, 4));
+    fn put_take_round_trip() {
+        let mut s = WireSlab::new();
+        let a = s.put("a");
+        let b = s.put("b");
+        assert_ne!(a, b);
+        assert_eq!(s.take(b), "b");
+        assert_eq!(s.take(a), "a");
+        assert_eq!(s.in_flight().count(), 0);
     }
 
     #[test]
-    fn wrong_type_returns_payload() {
-        let p = WirePayload::new(7u64);
-        let p = p.downcast::<u32>().unwrap_err();
-        assert_eq!(p.downcast::<u64>().unwrap(), 7);
+    fn freed_tickets_are_reused_last_in_first_out() {
+        let mut s = WireSlab::new();
+        let t: Vec<_> = (0..3).map(|i| s.put(i)).collect();
+        assert_eq!(t, [WirePayload(0), WirePayload(1), WirePayload(2)]);
+        s.take(t[0]);
+        s.take(t[2]);
+        assert_eq!(s.put(7), WirePayload(2));
+        assert_eq!(s.put(8), WirePayload(0));
+        assert_eq!(s.put(9), WirePayload(3));
+        let live: Vec<_> = s.in_flight().map(|(t, &v)| (t.0, v)).collect();
+        assert_eq!(live, [(0, 8), (1, 1), (2, 7), (3, 9)]);
     }
 
     #[test]
-    fn boxed_fallback_roundtrip() {
-        let big = [0u8; WIRE_INLINE + 1];
-        let p = WirePayload::new(big);
-        assert!(p.is::<[u8; WIRE_INLINE + 1]>());
-        assert_eq!(p.downcast::<[u8; WIRE_INLINE + 1]>().unwrap()[0], 0);
-    }
-
-    #[test]
-    fn drops_inline_payload_exactly_once() {
-        let rc = Rc::new(());
-        let p = WirePayload::new(Rc::clone(&rc));
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(p);
-        assert_eq!(Rc::strong_count(&rc), 1);
-
-        // Downcast transfers ownership: dropping the result is the only drop.
-        let p = WirePayload::new(Rc::clone(&rc));
-        let out = p.downcast::<Rc<()>>().unwrap();
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(out);
-        assert_eq!(Rc::strong_count(&rc), 1);
-    }
-
-    #[test]
-    fn failed_downcast_still_drops_once() {
-        let rc = Rc::new(());
-        let p = WirePayload::new(Rc::clone(&rc));
-        let p = p.downcast::<u32>().unwrap_err();
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(p);
-        assert_eq!(Rc::strong_count(&rc), 1);
+    #[should_panic(expected = "wire ticket 0 is not in flight")]
+    fn taking_a_ticket_twice_panics() {
+        let mut s = WireSlab::new();
+        let t = s.put(1u8);
+        s.take(t);
+        s.take(t);
     }
 }

@@ -1,7 +1,6 @@
 //! The simulated multiprocessor: event dispatch, memory system glue,
 //! thread scheduling, and backend services.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use locksim_coherence::{
@@ -96,9 +95,8 @@ enum Ev {
         from: CacheId,
         msg: CacheToDir,
     },
-    /// A backend wire message arrives, payload in the event itself. The
-    /// self-profiler showed the former id→payload side-table costing two
-    /// hash operations per backend message on the hottest dispatch arm.
+    /// A backend wire message arrives: a ticket into the sending backend's
+    /// [`crate::WireSlab`].
     Wire(WirePayload),
     /// A backend timer fires.
     Timer(u64),
@@ -111,6 +109,10 @@ enum Ev {
     /// A thread voluntarily yields its core (spin-then-yield backends).
     YieldNow(ThreadId),
 }
+
+// Every queued event is an `Ev`; keep payloads out of it so no variant
+// re-inflates the queue.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 /// Where a thread's simulated cycles went. Every cycle from spawn to
 /// finish lands in exactly one bucket, so the buckets sum to the thread's
@@ -729,16 +731,16 @@ impl Mach {
 
     /// Sends a backend protocol message from `src` to `dst`; it arrives at
     /// the backend's [`LockBackend::on_wire`] after network latency plus
-    /// `extra` cycles of processing delay. Small payloads are stored inline
-    /// in the event (see [`WirePayload`]) — pass the message value itself,
-    /// not a box.
-    pub fn send_wire<P: Any>(
+    /// `extra` cycles of processing delay. `payload` is a ticket from the
+    /// backend's own [`crate::WireSlab`]; the backend takes the message back
+    /// out of its slab when the ticket arrives.
+    pub fn send_wire(
         &mut self,
         src: Ep,
         dst: Ep,
         class: MsgClass,
         extra: Cycles,
-        payload: P,
+        payload: WirePayload,
     ) {
         let s = self.ep_node(src);
         let d = self.ep_node(dst);
@@ -749,8 +751,7 @@ impl Mach {
             self.net_send(now + extra, s, d, class)
         };
         self.metrics.incr(Machine::BackendWireMsgs);
-        self.sim
-            .schedule_at(arrival, Ev::Wire(WirePayload::new(payload)));
+        self.sim.schedule_at(arrival, Ev::Wire(payload));
     }
 
     /// Sends on the network, counting the message class and recording a

@@ -15,6 +15,8 @@
 //! `report [--runs results/runs] [--out results/dashboard.html]
 //! [--bench-dir .]`.
 
+#![forbid(unsafe_code)]
+
 pub mod dashboard;
 pub mod json;
 pub mod manifest;

@@ -33,10 +33,14 @@
 //! w.run_to_completion();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use locksim_engine::catalog::Ssb;
 use locksim_engine::stats::{Counters, FxHashMap, Tally};
 use locksim_engine::{Cycles, Time};
-use locksim_machine::{Addr, Checker, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
+use locksim_machine::{
+    Addr, Checker, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload, WireSlab,
+};
 use locksim_topo::MsgClass;
 
 /// SSB entries per bank (Zhu et al. size their SSB in the hundreds; the
@@ -97,6 +101,8 @@ pub struct SsbBackend {
     pending: FxHashMap<ThreadId, Pending>,
     retry_timers: FxHashMap<u64, ThreadId>,
     timer_seq: u64,
+    /// Messages in flight; the wire carries their tickets.
+    wire: WireSlab<SsbMsg>,
     counters: Tally<Ssb>,
     checker: Checker,
 }
@@ -131,7 +137,13 @@ impl SsbBackend {
             mode: p.mode,
             core,
         };
-        m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, msg);
+        self.send(m, Ep::Core(core), Ep::Mem(home), 0, msg);
+    }
+
+    /// Sends `msg` as a control message; the wire carries its ticket.
+    fn send(&mut self, m: &mut Mach, src: Ep, dst: Ep, extra: Cycles, msg: SsbMsg) {
+        let ticket = self.wire.put(msg);
+        m.send_wire(src, dst, MsgClass::Control, extra, ticket);
     }
 
     fn arm_retry(&mut self, m: &mut Mach, t: ThreadId) {
@@ -194,7 +206,7 @@ impl SsbBackend {
                     SsbMsg::Deny { addr, tid }
                 };
                 let lat = m.cfg().lrt_latency;
-                m.send_wire(Ep::Mem(home), Ep::Core(core), MsgClass::Control, lat, reply);
+                self.send(m, Ep::Mem(home), Ep::Core(core), lat, reply);
             }
             SsbMsg::Rel {
                 addr,
@@ -223,7 +235,7 @@ impl SsbBackend {
                 }
                 let lat = m.cfg().lrt_latency;
                 let reply = SsbMsg::RelAck { tid, orphan };
-                m.send_wire(Ep::Mem(home), Ep::Core(core), MsgClass::Control, lat, reply);
+                self.send(m, Ep::Mem(home), Ep::Core(core), lat, reply);
             }
             _ => unreachable!("bank only receives Req/Rel"),
         }
@@ -271,12 +283,12 @@ impl LockBackend for SsbBackend {
             core,
             orphan: false,
         };
-        m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, msg);
+        self.send(m, Ep::Core(core), Ep::Mem(home), 0, msg);
     }
 
     fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
         self.ensure_init(m);
-        let msg = payload.downcast::<SsbMsg>().expect("unknown SSB payload");
+        let msg = self.wire.take(payload);
         match msg {
             SsbMsg::Req { .. } | SsbMsg::Rel { .. } => self.bank_handle(m, msg),
             SsbMsg::Grant { addr, tid, mode } => {
@@ -295,7 +307,7 @@ impl LockBackend for SsbBackend {
                         core,
                         orphan: true,
                     };
-                    m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, rel);
+                    self.send(m, Ep::Core(core), Ep::Mem(home), 0, rel);
                     return;
                 }
                 let p = self.pending.remove(&tid).expect("checked");
@@ -346,6 +358,25 @@ impl LockBackend for SsbBackend {
             self.counters.incr(Ssb::DescheduledMidop);
             m.lockstat_bump(addr, Ssb::DescheduledMidop);
         }
+    }
+
+    fn debug_state(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let mut pending: Vec<_> = self.pending.iter().collect();
+        pending.sort_unstable_by_key(|&(t, _)| t);
+        for (t, p) in pending {
+            writeln!(
+                out,
+                "req {t:?}: addr={} mode={:?} deadline={:?}",
+                p.addr, p.mode, p.deadline
+            )
+            .ok();
+        }
+        for (ticket, msg) in self.wire.in_flight() {
+            writeln!(out, "wire {}: {msg:?}", ticket.0).ok();
+        }
+        out
     }
 
     fn counters(&self) -> Counters {

@@ -300,7 +300,8 @@ fn dump_tid(line: &str) -> u32 {
 #[test]
 fn stall_dumps_are_deterministic_and_key_sorted() {
     // Two identically built worlds stopped mid-contention must dump the
-    // same backend state, each map's entries in key order.
+    // same backend state, each map's entries in key order and the hardware
+    // backends' in-flight wire messages in ticket order.
     let dump = |backend: &dyn Fn() -> Box<dyn LockBackend>| {
         let mut w = World::new(MachineConfig::model_a(16), backend(), 5);
         let locks = [w.mach().alloc().alloc_line(), w.mach().alloc().alloc_line()];
@@ -337,7 +338,7 @@ fn stall_dumps_are_deterministic_and_key_sorted() {
         w.backend_debug()
     };
     for (name, make) in all_backends() {
-        if !matches!(name, "lcu" | "mrsw" | "bravo") {
+        if !matches!(name, "lcu" | "ssb" | "mrsw" | "bravo") {
             continue;
         }
         let a = dump(&*make);
@@ -358,10 +359,10 @@ fn stall_dumps_are_deterministic_and_key_sorted() {
                 })
                 .collect()
         };
-        let sections: &[&str] = if name == "lcu" {
-            &["req ", "held "]
-        } else {
-            &["ThreadId("]
+        let sections: &[&str] = match name {
+            "lcu" => &["req ", "held "],
+            "ssb" => &["req "],
+            _ => &["ThreadId("],
         };
         for prefix in sections {
             let k = keys(prefix);
@@ -369,6 +370,21 @@ fn stall_dumps_are_deterministic_and_key_sorted() {
             assert!(
                 k.windows(2).all(|p| p[0] < p[1]),
                 "{name}: `{prefix}` entries out of key order:\n{a}"
+            );
+        }
+        if matches!(name, "lcu" | "ssb") {
+            let tickets: Vec<u32> = lines
+                .iter()
+                .filter_map(|l| l.strip_prefix("wire "))
+                .map(|l| l[..l.find(':').expect("ticket")].parse().expect("ticket"))
+                .collect();
+            assert!(
+                !tickets.is_empty(),
+                "{name}: no wire messages in flight:\n{a}"
+            );
+            assert!(
+                tickets.windows(2).all(|p| p[0] < p[1]),
+                "{name}: wire messages out of ticket order:\n{a}"
             );
         }
     }
