@@ -20,7 +20,7 @@
 //!   the structured trace ring, exempting injected suspension windows, and
 //!   reporting violations back through the trace ring and lockstat.
 //! * [`report`] — the backend × fault-class matrix with verdicts, rendered
-//!   as deterministic CSV and self-contained HTML.
+//!   as deterministic CSV.
 //!
 //! On top of the injection machinery sits the **chaos engine**:
 //!
@@ -58,6 +58,6 @@ pub use driver::{Applied, DriveOutcome, FaultDriver, SuspensionWindows};
 pub use fuzz::{generate, ChaosCase, ChaosWorkload, FuzzConfig};
 pub use oracle::{check_exclusion, check_fairness, check_liveness, check_world, Violation};
 pub use plan::{FaultEvent, FaultPlan, Inject, PlanError, Trigger};
-pub use report::{chaos_csv, chaos_html, csv, html, ChaosRow, MatrixCell};
+pub use report::{chaos_csv, csv, ChaosRow, MatrixCell};
 pub use scenario::ChaosScenario;
 pub use shrink::{shrink, ShrinkResult};

@@ -1,6 +1,6 @@
-//! Pass/fail reporting: verdict computation, deterministic CSV, and
-//! self-contained HTML artifacts — for the backend × fault-class matrix
-//! ([`MatrixCell`]) and for chaos soak sweeps ([`ChaosRow`]).
+//! Pass/fail reporting: verdict computation and deterministic CSV — for
+//! the backend × fault-class matrix ([`MatrixCell`]) and for chaos soak
+//! sweeps ([`ChaosRow`]).
 
 use std::fmt::Write as _;
 
@@ -195,48 +195,6 @@ pub fn chaos_csv(rows: &[ChaosRow]) -> String {
     s
 }
 
-/// Renders a chaos sweep as a self-contained HTML page.
-pub fn chaos_html(rows: &[ChaosRow], title: &str) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>{title}</title><style>\
-         body{{font-family:sans-serif;margin:2em;}}\
-         table{{border-collapse:collapse;}}\
-         th,td{{border:1px solid #999;padding:0.3em 0.8em;text-align:right;}}\
-         th{{background:#eee;}}td.l{{text-align:left;}}\
-         .pass{{background:#cfc;}}.fail{{background:#fcc;font-weight:bold;}}\
-         </style></head><body><h1>{title}</h1>\n<table>\n\
-         <tr><th>seed</th><th>backend</th><th>verdict</th>\
-         <th>liveness</th><th>fairness</th><th>exclusion</th><th>deadlock</th>\
-         <th>events</th><th>shrunk</th><th>end cycle</th><th>finished</th></tr>\n"
-    );
-    for r in rows {
-        let class = if r.ok() { "pass" } else { "fail" };
-        let _ = writeln!(
-            s,
-            "<tr><td>{}</td><td class=\"l\">{}</td>\
-             <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            r.seed,
-            r.backend,
-            class,
-            r.verdict,
-            r.liveness,
-            r.fairness,
-            r.exclusion,
-            r.deadlock,
-            r.events,
-            r.shrunk_events,
-            r.end_cycle,
-            r.finished
-        );
-    }
-    s.push_str("</table>\n</body></html>\n");
-    s
-}
-
 /// Renders the matrix as CSV. Output is a pure function of the cells, so
 /// two same-seed runs produce byte-identical files.
 pub fn csv(cells: &[MatrixCell]) -> String {
@@ -258,52 +216,6 @@ pub fn csv(cells: &[MatrixCell]) -> String {
             c.finished
         );
     }
-    s
-}
-
-/// Renders the matrix as a self-contained HTML page (inline CSS, no
-/// external assets), with one table row per cell and verdict colouring.
-pub fn html(cells: &[MatrixCell], title: &str) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>{title}</title><style>\
-         body{{font-family:sans-serif;margin:2em;}}\
-         table{{border-collapse:collapse;}}\
-         th,td{{border:1px solid #999;padding:0.3em 0.8em;text-align:right;}}\
-         th{{background:#eee;}}td.l{{text-align:left;}}\
-         .pass{{background:#cfc;}}.fail{{background:#fcc;font-weight:bold;}}\
-         .na{{background:#f4f4f4;color:#888;}}\
-         </style></head><body><h1>{title}</h1>\n<table>\n\
-         <tr><th>backend</th><th>fault</th><th>verdict</th>\
-         <th>liveness</th><th>fairness</th><th>exclusion</th>\
-         <th>injections</th><th>end cycle</th><th>finished</th></tr>\n"
-    );
-    for c in cells {
-        let class = match c.verdict.as_str() {
-            "pass" => "pass",
-            "n/a" => "na",
-            _ => "fail",
-        };
-        let _ = writeln!(
-            s,
-            "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td>\
-             <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td></tr>",
-            c.backend,
-            c.fault,
-            class,
-            c.verdict,
-            c.liveness,
-            c.fairness,
-            c.exclusion,
-            c.injections,
-            c.end_cycle,
-            c.finished
-        );
-    }
-    s.push_str("</table>\n</body></html>\n");
     s
 }
 
@@ -421,18 +333,5 @@ mod tests {
         assert!(a.starts_with("seed,backend,verdict,"));
         assert!(a.contains("3,lcu,pass,0,0,0,false,4,4,500,true\n"));
         assert!(a.contains("4,mcs,DEADLOCK,1,0,0,true,5,1,7000,false\n"));
-        let page = chaos_html(&rows, "chaossim");
-        assert!(page.starts_with("<!DOCTYPE html>"));
-        assert!(page.contains("<td class=\"fail\">DEADLOCK</td>"));
-    }
-
-    #[test]
-    fn html_is_self_contained() {
-        let cells = vec![MatrixCell::from_run("lcu", "none", &outcome(1), &[], true)];
-        let page = html(&cells, "faultsim");
-        assert!(page.starts_with("<!DOCTYPE html>"));
-        assert!(page.ends_with("</html>\n"));
-        assert!(page.contains("<td class=\"pass\">pass</td>"));
-        assert!(!page.contains("http"), "no external assets");
     }
 }

@@ -525,17 +525,11 @@ pub fn trend_table(history: &[(String, BenchReport)], cur: &BenchReport) -> Tabl
 }
 
 /// Finds the latest checked-in trajectory baseline (`BENCH_<digits>.json`)
-/// in `dir`, skipping non-numbered files such as `BENCH_current.json` so a
-/// previous uncommitted run never becomes the gate.
+/// in `dir`; [`locksim_report::discover_benches`] skips non-numbered files
+/// such as `BENCH_current.json`, so a previous uncommitted run never
+/// becomes the gate.
 pub fn latest_numbered_baseline(dir: &std::path::Path) -> Option<PathBuf> {
-    locksim_report::discover_benches(dir)
-        .into_iter()
-        .rfind(|p| {
-            p.file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| s.strip_prefix("BENCH_"))
-                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-        })
+    locksim_report::discover_benches(dir).pop()
 }
 
 /// Renders the measured suite as the bin's stdout table.
@@ -581,7 +575,7 @@ fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "usage: benchsim [--quick] [--out <path>] [--baseline <BENCH_NNNN.json>]... \
          [--no-baseline] [--tolerance <x>] \
-         [shared flags: --trace/--lockstat/--self-profile ...]\n\
+         [shared flags: --trace/--trace-cap/--self-profile ...]\n\
          \n\
          With no --baseline, the latest checked-in BENCH_<digits>.json in the\n\
          current directory gates the run; --baseline may repeat — the gate\n\
@@ -591,9 +585,9 @@ fn usage_exit(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Entry point of the `benchsim` bin (shared by the root-package shim):
-/// runs the suite, writes the JSON report, prints the regression table
-/// against the baseline(s), and exits non-zero past the tolerance.
+/// Entry point of the `benchsim` bin: runs the suite, writes the JSON
+/// report, prints the regression table against the baseline(s), and exits
+/// non-zero past the tolerance.
 ///
 /// Baseline selection: every `--baseline` (repeatable, in order) joins the
 /// trajectory table and the *last* one is the gate; with none given, the

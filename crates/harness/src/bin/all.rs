@@ -32,8 +32,7 @@ fn main() {
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: all [--quick] [--jobs <n|0=cores>] [--trace <path>] \
-         [--trace-cap <records>] [--lockstat <path>] [--watchdog-cycles <n>] \
-         [--self-profile <path>]"
+         [--trace-cap <records>] [--self-profile <path>]"
     );
     std::process::exit(2);
 }

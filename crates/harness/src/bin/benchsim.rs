@@ -6,9 +6,9 @@
 //! baseline.
 //!
 //! ```text
-//! cargo run --release --bin benchsim
-//! cargo run --release --bin benchsim -- --baseline BENCH_0001.json --tolerance 3.0
-//! cargo run --release --bin benchsim -- --quick --self-profile prof.collapsed
+//! cargo run --release -p locksim-harness --bin benchsim
+//! cargo run --release -p locksim-harness --bin benchsim -- --baseline BENCH_0001.json --tolerance 3.0
+//! cargo run --release -p locksim-harness --bin benchsim -- --quick --self-profile prof.collapsed
 //! ```
 
 // The counting allocator is installed only in the benchsim bins, so the

@@ -1,12 +1,12 @@
 //! Chaos soak runner: sweep fuzz seeds through randomized fault plans with
 //! the quiescence deadlock detector armed, shrink every violating plan to
-//! a locally-minimal repro, and write `results/chaossim.csv` /
-//! `results/chaossim.html` (plus corpus entries with `--corpus-out`).
+//! a locally-minimal repro, and write `results/chaossim.csv` (plus corpus
+//! entries with `--corpus-out`).
 //!
 //! ```text
-//! cargo run --release --bin chaossim -- --quick
-//! cargo run --release --bin chaossim -- --seed-start 0 --seeds 100
-//! cargo run --release --bin chaossim -- --seeds 48 --corpus-out tests/corpus
+//! cargo run --release -p locksim-harness --bin chaossim -- --quick
+//! cargo run --release -p locksim-harness --bin chaossim -- --seed-start 0 --seeds 100
+//! cargo run --release -p locksim-harness --bin chaossim -- --seeds 48 --corpus-out tests/corpus
 //! ```
 
 fn main() {

@@ -18,8 +18,8 @@
 use std::path::{Path, PathBuf};
 
 use locksim_faults::{
-    chaos_csv, chaos_html, check_world, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload,
-    DriveOutcome, FaultDriver, FaultPlan, FuzzConfig, Violation,
+    chaos_csv, check_world, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload, DriveOutcome,
+    FaultDriver, FaultPlan, FuzzConfig, Violation,
 };
 use locksim_machine::{MachineConfig, RunExit, World};
 use locksim_swlocks::SwAlg;
@@ -309,7 +309,7 @@ pub fn write_corpus(dir: &Path, scenarios: &[ChaosScenario]) -> Vec<PathBuf> {
         let path = dir.join(name);
         let body = format!(
             "# chaossim shrunk violation — replayed by the tests/corpus suite.\n\
-             # Regenerate: cargo run --release --bin chaossim -- --seed-start {} --seeds 1\n{}",
+             # Regenerate: cargo run --release -p locksim-harness --bin chaossim -- --seed-start {} --seeds 1\n{}",
             sc.seed,
             sc.format()
         );
@@ -363,7 +363,7 @@ pub fn verdict_table(cfg: &ChaosCfg, report: &SoakReport) -> Table {
     t
 }
 
-/// Entry point of the `chaossim` bin (shared by the root-package shim).
+/// Entry point of the `chaossim` bin.
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
@@ -403,10 +403,6 @@ pub fn cli_main() {
             name: "--csv",
             takes_value: true,
         },
-        obs::BinFlag {
-            name: "--html",
-            takes_value: true,
-        },
     ];
     let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
@@ -437,10 +433,6 @@ pub fn cli_main() {
         .get("--csv")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results/chaossim.csv"));
-    let html_path = extras
-        .get("--html")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaossim.html"));
 
     let report = soak(&cfg, jobs);
     for r in &report.rows {
@@ -452,15 +444,7 @@ pub fn cli_main() {
     emit("chaossim_verdicts", &[verdict_table(&cfg, &report)]);
 
     write_artifact(&csv_path, &chaos_csv(&report.rows));
-    write_artifact(
-        &html_path,
-        &chaos_html(&report.rows, "chaossim — chaos soak sweep"),
-    );
-    eprintln!(
-        "chaossim: wrote {} and {}",
-        csv_path.display(),
-        html_path.display()
-    );
+    eprintln!("chaossim: wrote {}", csv_path.display());
     if let Some(dir) = extras.get("--corpus-out") {
         let paths = write_corpus(Path::new(dir), &report.shrunk);
         eprintln!("chaossim: wrote {} corpus entries to {dir}", paths.len());
@@ -487,9 +471,8 @@ fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: chaossim [--quick] [--seed-start <n>] [--seeds <n>] \
          [--quiesce <cycles>] [--shrink-budget <runs>] [--cycle-budget <cycles>] \
-         [--jobs <n|0=cores>] [--corpus-out <dir>] [--csv <path>] [--html <path>] \
-         [--trace <path>] [--trace-cap <records>] [--lockstat <path>] \
-         [--watchdog-cycles <n>]"
+         [--jobs <n|0=cores>] [--corpus-out <dir>] [--csv <path>] [--trace <path>] \
+         [--trace-cap <records>] [--self-profile <path>]"
     );
     std::process::exit(2);
 }

@@ -9,7 +9,7 @@
 //! reissues after migration, so it keeps every cell green; a software
 //! queue lock (MCS) wedges its successors behind a suspended queue node
 //! and fails the liveness horizon — the paper's central robustness claim,
-//! rendered as a pass/fail table plus CSV/HTML artifacts.
+//! rendered as a pass/fail table plus a CSV artifact.
 //!
 //! One LCU-family cell fails by design: `lcu+flt` under `wire-delay`
 //! trips the fairness oracle. The FLT's local fast path keeps re-granting
@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use locksim_faults::{check_world, csv, html, FaultDriver, FaultPlan, MatrixCell};
+use locksim_faults::{check_world, csv, FaultDriver, FaultPlan, MatrixCell};
 use locksim_machine::{MachineConfig, RunExit, World};
 use locksim_swlocks::SwAlg;
 use locksim_workloads::{CsThread, IterPool};
@@ -267,9 +267,8 @@ pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
     t
 }
 
-/// Entry point of the `faultsim` bin (shared by the root-package shim):
-/// parses flags, runs the matrix, and emits the verdict table plus the
-/// CSV and self-contained HTML artifacts.
+/// Entry point of the `faultsim` bin: parses flags, runs the matrix, and
+/// emits the verdict table plus the CSV artifact.
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
@@ -291,10 +290,6 @@ pub fn cli_main() {
         },
         obs::BinFlag {
             name: "--csv",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--html",
             takes_value: true,
         },
     ];
@@ -325,10 +320,6 @@ pub fn cli_main() {
         .get("--csv")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results/faultsim.csv"));
-    let html_path = extras
-        .get("--html")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/faultsim.html"));
 
     let cells = run_matrix(&cfg, jobs);
     for c in cells.iter().filter(|c| c.verdict != "n/a") {
@@ -348,15 +339,7 @@ pub fn cli_main() {
     emit("faultsim_verdicts", &[verdict_table(&cfg, &cells)]);
 
     write_artifact(&csv_path, &csv(&cells));
-    write_artifact(
-        &html_path,
-        &html(&cells, "faultsim — fault-injection matrix"),
-    );
-    eprintln!(
-        "faultsim: wrote {} and {}",
-        csv_path.display(),
-        html_path.display()
-    );
+    eprintln!("faultsim: wrote {}", csv_path.display());
 
     let failed: Vec<String> = cells
         .iter()
@@ -387,8 +370,8 @@ fn write_artifact(path: &Path, content: &str) {
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: faultsim [--quick] [--seed <n>] [--horizon <cycles>] \
-         [--jobs <n|0=cores>] [--csv <path>] [--html <path>] [--trace <path>] \
-         [--trace-cap <records>] [--lockstat <path>] [--watchdog-cycles <n>]"
+         [--jobs <n|0=cores>] [--csv <path>] [--trace <path>] [--trace-cap <records>] \
+         [--self-profile <path>]"
     );
     std::process::exit(2);
 }

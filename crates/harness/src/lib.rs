@@ -13,7 +13,10 @@
 //! Every binary accepts `--trace <path>` (plus `--trace-cap <records>`),
 //! which captures the first simulated run as Chrome trace-event JSON for
 //! Perfetto / `chrome://tracing`, and appends a metrics-registry section
-//! to the markdown output and `results/` CSVs.
+//! to the markdown output and `results/` CSVs. Every binary also writes one
+//! `locksim-run-v1` manifest per series under `results/runs/`; the root
+//! package's `report` bin renders those into `results/dashboard.html`, the
+//! workspace's only HTML output.
 
 #![forbid(unsafe_code)]
 
@@ -56,8 +59,7 @@ pub fn emit(name: &str, tables: &[Table]) {
 
 /// Entry point shared by the figure binaries: parses the shared
 /// observability flags (`--trace <path>`, `--trace-cap <records>`,
-/// `--lockstat <path>`, `--watchdog-cycles <n>`, `--self-profile <path>`)
-/// plus `--quick` (equivalent to `LOCKSIM_QUICK=1`) through the uniform
+/// `--self-profile <path>`) plus `--quick` (equivalent to `LOCKSIM_QUICK=1`) through the uniform
 /// [`obs::parse_bin_cli`] helper, regenerates the figure, emits its
 /// tables, and appends the metrics section collected from the figure's
 /// runs (printed as markdown, saved as `results/<name>_metrics.csv`).
@@ -136,12 +138,13 @@ pub fn run_all(jobs: usize) {
 }
 
 /// Emits the deferred observability outputs collected during a bin's runs:
-/// the metrics section and, when `--lockstat` was given, the HTML report.
-/// Split out of [`run_bin`] for bins that drive their own argument parsing.
+/// the metrics section, the run-ledger manifests and, when
+/// `--self-profile` was given, the collapsed-stack profile. Split out of
+/// [`run_bin`] for bins that drive their own argument parsing.
 ///
 /// # Panics
 ///
-/// Panics if the results directory or the report file cannot be written.
+/// Panics if the results directory or the profile file cannot be written.
 pub fn finish_bin(name: &str) {
     let runs = obs::take_runs();
     if let Some(t) = obs::metrics_table(name, &runs) {
@@ -161,14 +164,6 @@ pub fn finish_bin(name: &str) {
             manifests.len(),
             dir.display()
         );
-    }
-    if let Some((path, html)) = obs::take_lockstat_html(name) {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create lockstat report dir");
-        }
-        std::fs::write(&path, html)
-            .unwrap_or_else(|e| panic!("write lockstat report {}: {e}", path.display()));
-        eprintln!("lockstat: wrote HTML report to {}", path.display());
     }
     if let Some((path, report)) = obs::take_self_profile() {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {

@@ -18,8 +18,6 @@
 //! the writer's wait bounded and must not flag either, at software-lock
 //! (not LCU) handoff cost.
 
-use std::path::PathBuf;
-
 use locksim_machine::{
     blocking_chains, render_chains, LockChain, LockStats, StarvationFlag, World,
 };
@@ -257,33 +255,33 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
     vec![stats, watchdog, chains]
 }
 
-/// Entry point of the `lockstat` bin (shared by the root-package shim so
-/// `cargo run --bin lockstat` works without `-p locksim-harness`): parses
-/// flags, runs the SSB-vs-LCU starvation contrast, and emits the tables,
-/// text reports, CSVs, and HTML report.
+/// Entry point of the `lockstat` bin: parses flags, runs the SSB-vs-LCU
+/// starvation contrast, and emits the tables, text reports and CSVs.
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [obs::BinFlag {
-        name: "--quick",
-        takes_value: false,
-    }];
-    let (mut opts, extras) = match obs::parse_bin_cli(&args, &flags) {
+    let flags = [
+        obs::BinFlag {
+            name: "--quick",
+            takes_value: false,
+        },
+        obs::BinFlag {
+            name: "--watchdog-cycles",
+            takes_value: true,
+        },
+    ];
+    let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
         Err(msg) => usage_exit(&msg),
     };
     if extras.contains_key("--quick") {
         std::env::set_var("LOCKSIM_QUICK", "1");
     }
-    // This bin always writes the HTML report; --lockstat only moves it.
-    if opts.lockstat_path.is_none() {
-        opts.lockstat_path = Some(PathBuf::from("results/lockstat.html"));
-    }
-
     let mut cfg = StarvationCfg::default_scaled();
-    if let Some(n) = opts.watchdog_cycles {
-        cfg.watchdog_cycles = n;
+    if let Some(v) = extras.get("--watchdog-cycles") {
+        cfg.watchdog_cycles = v
+            .parse()
+            .unwrap_or_else(|_| usage_exit(&format!("--watchdog-cycles: invalid count {v:?}")));
     }
-    opts.watchdog_cycles = Some(cfg.watchdog_cycles);
     obs::apply_opts(&opts);
 
     let runs = [
@@ -301,8 +299,8 @@ pub fn cli_main() {
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!(
-        "error: {msg}\nusage: lockstat [--quick] [--lockstat <path>] [--watchdog-cycles <n>] \
-         [--trace <path>] [--trace-cap <records>]"
+        "error: {msg}\nusage: lockstat [--quick] [--watchdog-cycles <n>] [--trace <path>] \
+         [--trace-cap <records>] [--self-profile <path>]"
     );
     std::process::exit(2);
 }

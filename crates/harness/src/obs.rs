@@ -1,5 +1,5 @@
-//! Harness-side observability: the shared `--trace` / `--lockstat` CLI
-//! flags and the per-figure metrics accumulation behind the emitted
+//! Harness-side observability: the shared `--trace` / `--self-profile`
+//! CLI flags and the per-figure metrics accumulation behind the emitted
 //! "Metrics" sections.
 //!
 //! Every experiment executor in [`crate::run`] arms the world before the
@@ -8,20 +8,14 @@
 //! machine's trace ring and exported as Chrome trace-event JSON (loadable
 //! in Perfetto or `chrome://tracing`); every run additionally contributes
 //! its end-of-run [`MetricsSnapshot`] to a per-series table that
-//! [`crate::run_bin`] prints and saves next to the figure CSVs. When
-//! `--lockstat <path>` was given, every run also collects per-lock
-//! contention statistics (plus a trace for blocking-chain analysis) and
-//! the accumulated series render into one self-contained HTML report at
-//! that path; `--watchdog-cycles <n>` additionally arms the starvation
-//! watchdog at that threshold.
+//! [`crate::run_bin`] prints and saves next to the figure CSVs, and that
+//! [`crate::finish_bin`] writes as `locksim-run-v1` ledger manifests.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use locksim_machine::{
-    blocking_chains, render_html, HtmlSeries, LockChain, LockStats, MetricsSnapshot, World,
-};
+use locksim_machine::{MetricsSnapshot, World};
 use locksim_report::{RunManifest, Verdict};
 use locksim_trace::SeriesSnapshot;
 
@@ -29,14 +23,6 @@ use crate::table::Table;
 
 /// Default `--trace` ring capacity (records kept; oldest are dropped).
 const DEFAULT_TRACE_CAP: usize = 200_000;
-
-/// One run's lockstat capture, kept until the end-of-process HTML render.
-struct LockstatSeries {
-    label: String,
-    stats: LockStats,
-    chains: Vec<LockChain>,
-    end_cycles: u64,
-}
 
 /// One series' accumulated capture: the run count plus the last run's
 /// end-of-run state — everything both the metrics table and the
@@ -58,8 +44,6 @@ pub(crate) struct RunCapture {
 struct Obs {
     trace_path: Option<PathBuf>,
     trace_cap: usize,
-    lockstat_path: Option<PathBuf>,
-    watchdog_cycles: Option<u64>,
     self_profile: Option<PathBuf>,
     /// A trace has been exported; later runs are left uninstrumented.
     captured: bool,
@@ -68,8 +52,6 @@ struct Obs {
     /// Per-series oracle/gate verdicts, attached to the matching ledger
     /// manifest by label (faultsim cells, chaossim seeds).
     verdicts: BTreeMap<String, Vec<Verdict>>,
-    /// Per-run lockstat captures, in run order.
-    lockstat: Vec<LockstatSeries>,
 }
 
 impl Default for Obs {
@@ -77,13 +59,10 @@ impl Default for Obs {
         Obs {
             trace_path: None,
             trace_cap: DEFAULT_TRACE_CAP,
-            lockstat_path: None,
-            watchdog_cycles: None,
             self_profile: None,
             captured: false,
             metrics: BTreeMap::new(),
             verdicts: BTreeMap::new(),
-            lockstat: Vec::new(),
         }
     }
 }
@@ -99,21 +78,16 @@ pub struct CliOpts {
     pub trace_path: Option<PathBuf>,
     /// Override the trace ring capacity.
     pub trace_cap: Option<usize>,
-    /// Write the per-lock contention HTML report here.
-    pub lockstat_path: Option<PathBuf>,
-    /// Starvation-watchdog threshold in cycles.
-    pub watchdog_cycles: Option<u64>,
     /// Enable the host-side self-profiler and write the collapsed-stack
     /// profile (flamegraph/speedscope format) here.
     pub self_profile: Option<PathBuf>,
 }
 
 /// Parses the shared observability flags (`--trace <path>`,
-/// `--trace-cap <records>`, `--lockstat <path>`, `--watchdog-cycles <n>`,
-/// `--self-profile <path>`) from an argument list (without the program
-/// name). Unrecognized
-/// arguments are returned for the caller to handle — bins with their own
-/// flags (e.g. `lockstat --quick`) parse the remainder themselves.
+/// `--trace-cap <records>`, `--self-profile <path>`) from an argument list
+/// (without the program name). Unrecognized arguments are returned for the
+/// caller to handle — bins with their own flags (e.g. `lockstat --quick`)
+/// parse the remainder themselves.
 ///
 /// # Errors
 ///
@@ -135,19 +109,6 @@ pub fn parse_cli_partial(args: &[String]) -> Result<(CliOpts, Vec<String>), Stri
                     .map_err(|_| format!("--trace-cap: invalid count {v:?}"))?;
                 opts.trace_cap = Some(n.max(1));
             }
-            "--lockstat" => {
-                let v = it.next().ok_or("--lockstat requires a file path")?;
-                opts.lockstat_path = Some(PathBuf::from(v));
-            }
-            "--watchdog-cycles" => {
-                let v = it
-                    .next()
-                    .ok_or("--watchdog-cycles requires a cycle count")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--watchdog-cycles: invalid count {v:?}"))?;
-                opts.watchdog_cycles = Some(n);
-            }
             "--self-profile" => {
                 let v = it.next().ok_or("--self-profile requires a file path")?;
                 opts.self_profile = Some(PathBuf::from(v));
@@ -168,7 +129,7 @@ pub fn parse_cli(args: &[String]) -> Result<CliOpts, String> {
     if let Some(other) = rest.first() {
         return Err(format!(
             "unknown argument {other:?} (supported: --trace <path>, --trace-cap <records>, \
-             --lockstat <path>, --watchdog-cycles <n>, --self-profile <path>)"
+             --self-profile <path>)"
         ));
     }
     Ok(opts)
@@ -187,7 +148,7 @@ pub struct BinFlag {
 
 /// Parses a bin's full argument list: the shared observability flags
 /// (see [`parse_cli_partial`]) plus the bin-specific `flags`. Every bin
-/// with its own flags (`lockstat`, `faultsim`) goes through this one
+/// with its own flags (`lockstat`, `faultsim`, `chaossim`) goes through this one
 /// helper so unknown-flag handling is uniform: the error names the
 /// offending argument and lists everything supported.
 ///
@@ -208,8 +169,6 @@ pub fn parse_bin_cli(
             supported.extend([
                 "--trace <path>",
                 "--trace-cap <records>",
-                "--lockstat <path>",
-                "--watchdog-cycles <n>",
                 "--self-profile <path>",
             ]);
             return Err(format!(
@@ -260,8 +219,6 @@ pub fn apply_opts(opts: &CliOpts) {
         if let Some(cap) = opts.trace_cap {
             o.trace_cap = cap;
         }
-        o.lockstat_path = opts.lockstat_path.clone();
-        o.watchdog_cycles = opts.watchdog_cycles;
         o.self_profile = self_profile;
         if o.self_profile.is_some() {
             locksim_trace::prof::enable();
@@ -269,10 +226,9 @@ pub fn apply_opts(opts: &CliOpts) {
     });
 }
 
-/// Enables instrumentation on a freshly built world: tracing when a
-/// `--trace` capture is still pending, and per-lock stats (plus a trace
-/// ring for blocking-chain analysis) when `--lockstat` was given. Runs
-/// execute sequentially, so at most one world is armed at a time.
+/// Enables instrumentation on a freshly built world: the windowed
+/// time-series collector always, and tracing when a `--trace` capture is
+/// still pending.
 pub(crate) fn arm(w: &mut World) {
     OBS.with(|o| {
         let o = o.borrow();
@@ -282,12 +238,6 @@ pub(crate) fn arm(w: &mut World) {
         w.enable_series(0);
         if o.trace_path.is_some() && !o.captured {
             w.enable_trace(o.trace_cap);
-        }
-        if o.lockstat_path.is_some() {
-            w.enable_lockstat(o.watchdog_cycles);
-            if !w.mach_ref().tracer().is_enabled() {
-                w.enable_trace(o.trace_cap);
-            }
         }
     });
 }
@@ -332,41 +282,7 @@ pub(crate) fn observe(label: &str, w: &World) {
         entry.end_cycles = end_cycles;
         entry.snap = snap;
         entry.series = series;
-        if o.lockstat_path.is_some() && w.lockstat().is_enabled() {
-            let chains = blocking_chains(w.mach_ref().tracer().events());
-            o.lockstat.push(LockstatSeries {
-                label: label.to_string(),
-                stats: w.lockstat().clone(),
-                chains,
-                end_cycles: w.mach_ref().now().cycles(),
-            });
-        }
     });
-}
-
-/// Drains the accumulated lockstat captures into `(path, rendered HTML)`,
-/// or `None` when `--lockstat` was not given or no instrumented run
-/// happened. [`crate::run_bin`] writes the file.
-pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
-    OBS.with(|o| {
-        let mut o = o.borrow_mut();
-        let path = o.lockstat_path.clone()?;
-        let series = std::mem::take(&mut o.lockstat);
-        if series.is_empty() {
-            return None;
-        }
-        let html_series: Vec<HtmlSeries<'_>> = series
-            .iter()
-            .map(|s| HtmlSeries {
-                label: &s.label,
-                stats: &s.stats,
-                chains: &s.chains,
-                end_cycles: s.end_cycles,
-            })
-            .collect();
-        let title = format!("lockstat — {name}");
-        Some((path, render_html(&title, &html_series)))
-    })
 }
 
 /// Drains the self-profiler when `--self-profile <path>` (or
@@ -401,13 +317,12 @@ pub(crate) struct WorkerCapture {
 }
 
 /// True when the process-wide observability options capture per-run state
-/// that only works single-threaded (trace export, lockstat, the
-/// self-profiler) — the sweep runner then falls back to sequential
+/// that only works single-threaded (trace export, the self-profiler) — the sweep runner then falls back to sequential
 /// execution so those captures see every run.
 pub(crate) fn wants_sequential() -> bool {
     OBS.with(|o| {
         let o = o.borrow();
-        o.trace_path.is_some() || o.lockstat_path.is_some() || o.self_profile.is_some()
+        o.trace_path.is_some() || o.self_profile.is_some()
     })
 }
 
@@ -546,28 +461,16 @@ mod tests {
         assert!(parse_cli(&args(&["--frobnicate"])).is_err());
         assert!(parse_cli(&args(&["--trace"])).is_err());
         assert!(parse_cli(&args(&["--trace-cap", "many"])).is_err());
-        assert!(parse_cli(&args(&["--lockstat"])).is_err());
-        assert!(parse_cli(&args(&["--watchdog-cycles", "soon"])).is_err());
-    }
-
-    #[test]
-    fn parse_lockstat_flags() {
-        let o = parse_cli(&args(&[
-            "--lockstat",
-            "out.html",
-            "--watchdog-cycles",
-            "25000",
-        ]))
-        .unwrap();
-        assert_eq!(o.lockstat_path, Some(PathBuf::from("out.html")));
-        assert_eq!(o.watchdog_cycles, Some(25_000));
+        assert!(parse_cli(&args(&["--lockstat", "r.html"])).is_err());
+        assert!(parse_cli(&args(&["--html", "x"])).is_err());
+        assert!(parse_cli(&args(&["--watchdog-cycles", "25000"])).is_err());
     }
 
     #[test]
     fn partial_parse_passes_unknowns_through() {
         let (o, rest) =
-            parse_cli_partial(&args(&["--quick", "--lockstat", "r.html", "extra"])).unwrap();
-        assert_eq!(o.lockstat_path, Some(PathBuf::from("r.html")));
+            parse_cli_partial(&args(&["--quick", "--trace", "t.json", "extra"])).unwrap();
+        assert_eq!(o.trace_path, Some(PathBuf::from("t.json")));
         assert_eq!(rest, args(&["--quick", "extra"]));
         // Value errors are still hard errors, not pass-throughs.
         assert!(parse_cli_partial(&args(&["--quick", "--trace"])).is_err());
@@ -592,11 +495,11 @@ mod tests {
     #[test]
     fn bin_cli_mixes_shared_and_bin_flags() {
         let (opts, extras) = parse_bin_cli(
-            &args(&["--quick", "--lockstat", "r.html", "--seed", "7"]),
+            &args(&["--quick", "--trace", "t.json", "--seed", "7"]),
             BIN_FLAGS,
         )
         .unwrap();
-        assert_eq!(opts.lockstat_path, Some(PathBuf::from("r.html")));
+        assert_eq!(opts.trace_path, Some(PathBuf::from("t.json")));
         assert_eq!(extras.get("--quick").map(String::as_str), Some("1"));
         assert_eq!(extras.get("--seed").map(String::as_str), Some("7"));
     }

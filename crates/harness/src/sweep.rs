@@ -21,8 +21,8 @@
 //!   so the budget cutoff is independent of worker count.
 //!
 //! Observability modes that capture per-run state across runs — `--trace`,
-//! `--lockstat`, `--self-profile` — force the sweep sequential (with a
-//! stderr note), since their captures live on the main thread.
+//! `--self-profile` — force the sweep sequential (with a stderr note),
+//! since their captures live on the main thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -74,10 +74,7 @@ pub fn parse_jobs(v: &str) -> Result<usize, String> {
 pub(crate) fn effective_jobs(jobs: usize, n: usize) -> usize {
     let jobs = resolve_jobs(jobs).min(n.max(1));
     if jobs > 1 && obs::wants_sequential() {
-        eprintln!(
-            "sweep: --trace/--lockstat/--self-profile capture per-run state; \
-             running sequentially"
-        );
+        eprintln!("sweep: --trace/--self-profile capture per-run state; running sequentially");
         return 1;
     }
     jobs

@@ -6,7 +6,7 @@
 
 use locksim_harness::lockstat::{run_starvation, tables, StarvationCfg};
 use locksim_harness::BackendKind;
-use locksim_machine::{blocking_chains, render_html, HtmlSeries, MachineConfig, World};
+use locksim_machine::{blocking_chains, MachineConfig, World};
 use locksim_workloads::{CsThread, IterPool};
 
 fn contrast_cfg() -> StarvationCfg {
@@ -108,23 +108,6 @@ fn lockstat_outputs_are_byte_identical_across_same_seed_runs() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.report(), y.report(), "text report must be deterministic");
     }
-    let html_of = |runs: &[locksim_harness::lockstat::LockstatRun]| {
-        let series: Vec<HtmlSeries<'_>> = runs
-            .iter()
-            .map(|r| HtmlSeries {
-                label: r.label,
-                stats: &r.stats,
-                chains: &r.chains,
-                end_cycles: r.end_cycles,
-            })
-            .collect();
-        render_html("lockstat — test", &series)
-    };
-    assert_eq!(
-        html_of(&a),
-        html_of(&b),
-        "HTML report must be deterministic"
-    );
     let csv_of = |runs: &[locksim_harness::lockstat::LockstatRun]| {
         tables(&cfg, runs)
             .iter()

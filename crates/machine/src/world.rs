@@ -302,10 +302,6 @@ pub struct Mach {
     /// Deterministic wire-delay fault: every `period`-th network message is
     /// delayed by `extra` cycles (fault injection).
     wire_fault: Option<WireFault>,
-    /// Debug tracing configuration, parsed once from the environment
-    /// (LOCKSIM_TRACE, LOCKSIM_TRACELINE, LOCKSIM_WATCHLINE) so the hot
-    /// dispatch paths never touch the environment.
-    dbg: DebugCfg,
     /// Reusable scratch for cache-controller outputs: the dispatch loop
     /// takes it, drains it, and puts it back so steady-state coherence
     /// traffic never allocates.
@@ -320,24 +316,6 @@ struct WireFault {
     period: u64,
     extra: Cycles,
     counter: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct DebugCfg {
-    trace_all: bool,
-    trace_line: Option<u64>,
-    watch_line: Option<u64>,
-}
-
-impl DebugCfg {
-    fn from_env() -> Self {
-        let line = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
-        DebugCfg {
-            trace_all: std::env::var_os("LOCKSIM_TRACE").is_some(),
-            trace_line: line("LOCKSIM_TRACELINE"),
-            watch_line: line("LOCKSIM_WATCHLINE"),
-        }
-    }
 }
 
 impl Mach {
@@ -816,18 +794,6 @@ impl Mach {
     /// stale value), the wake fires immediately — the spin loop's next read
     /// would miss and refetch.
     pub fn watch_line(&mut self, t: ThreadId, line: LineAddr) {
-        if self.dbg.watch_line == Some(line.0) {
-            eprintln!(
-                "[{}] watch_line t={:?} core={:?} state={:?}",
-                self.sim.now(),
-                t,
-                self.threads[t.0 as usize].core,
-                self.threads[t.0 as usize]
-                    .core
-                    .map(|c| self.caches[c.0 as usize].state(line))
-            );
-        }
-
         let Some(core) = self.threads[t.0 as usize].core else {
             self.metrics.incr(Machine::WatchesDroppedDescheduled);
             return;
@@ -889,13 +855,6 @@ impl Mach {
     }
 
     fn issue_mem(&mut self, cache: usize, addr: Addr, kind: MemKind, issuer: MemIssuer) {
-        if self.dbg.watch_line == Some(addr.line().0) {
-            eprintln!(
-                "[{}] issue_mem cache={cache} addr={addr} kind={kind:?} issuer={issuer:?}",
-                self.sim.now()
-            );
-        }
-
         let line = addr.line();
         let key = (cache, line);
         let pm = PendingMem {
@@ -1044,7 +1003,6 @@ impl World {
                 quantum_gen: 0,
                 quantum_active: false,
                 wire_fault: None,
-                dbg: DebugCfg::from_env(),
                 cache_scratch: Vec::new(),
                 dir_scratch: Vec::new(),
             },
@@ -1467,27 +1425,6 @@ impl World {
             Ev::WakeNow(..) => "sim/dispatch/wake",
             Ev::YieldNow(..) => "sim/dispatch/yield",
         });
-        if self.mach.dbg.trace_all {
-            eprintln!("[{}] {:?}", self.mach.sim.now(), ev);
-        }
-        if let Some(l) = self.mach.dbg.trace_line {
-            match &ev {
-                Ev::CacheMsg { cache, line, msg } if line.0 == l => {
-                    eprintln!(
-                        "[{}] cachemsg cache={cache} {:?} (state {:?})",
-                        self.mach.sim.now(),
-                        msg,
-                        self.mach.caches[*cache].state(*line)
-                    );
-                }
-                Ev::DirMsg {
-                    line, from, msg, ..
-                } if line.0 == l => {
-                    eprintln!("[{}] dirmsg from={:?} {:?}", self.mach.sim.now(), from, msg);
-                }
-                _ => {}
-            }
-        }
         match ev {
             Ev::Resume(t, outcome, gen) => {
                 if gen == self.mach.threads[t.0 as usize].resume_gen {
@@ -1676,14 +1613,6 @@ impl World {
     }
 
     fn fire_watchers(&mut self, cache: usize, line: LineAddr) {
-        if self.mach.dbg.watch_line == Some(line.0) {
-            eprintln!(
-                "[{}] fire_watchers cache={cache} watchers={:?}",
-                self.mach.sim.now(),
-                self.mach.watchers.get(&(cache, line))
-            );
-        }
-
         if let Some(ws) = self.mach.watchers.remove(&(cache, line)) {
             for t in ws {
                 self.backend.on_line_invalidated(&mut self.mach, t, line);
@@ -1704,15 +1633,6 @@ impl World {
         };
         let served_in = self.mach.sim.now().saturating_since(pm.issued);
         self.mach.metrics.observe(Hist::MemOpCycles, served_in);
-        if self.mach.dbg.watch_line == Some(line.0) {
-            eprintln!(
-                "[{}] complete_mem cache={cache} addr={} kind={:?} issuer={:?} val={value:#x}",
-                self.mach.sim.now(),
-                pm.addr,
-                pm.kind,
-                pm.issuer
-            );
-        }
         match pm.issuer {
             MemIssuer::Prog(t) => {
                 let outcome = match pm.kind {

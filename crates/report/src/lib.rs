@@ -7,11 +7,12 @@
 //!   measured run, all fields simulation-derived so identical runs are
 //!   byte-identical.
 //! - [`dashboard`]: folds a directory of manifests plus the checked-in
-//!   `BENCH_*.json` trajectory into one self-contained HTML page
+//!   `BENCH_<digits>.json` trajectory into one self-contained HTML page
 //!   (tail-latency tables, per-window time-series charts, verdict matrix,
 //!   bench trend lines).
 //!
-//! The `report` bin (root package shim) drives it:
+//! The root package's `report` bin drives it and is the workspace's only
+//! HTML output:
 //! `report [--runs results/runs] [--out results/dashboard.html]
 //! [--bench-dir .]`.
 
@@ -34,24 +35,27 @@ fn usage_exit(msg: &str) -> ! {
         "usage: report [--runs <dir>] [--out <path>] [--bench-dir <dir>]\n\
          \n\
          Aggregates locksim-run-v1 manifests (default results/runs/) and any\n\
-         BENCH_*.json baselines (default: current directory) into one\n\
+         BENCH_<digits>.json baselines (default: current directory) into one\n\
          self-contained HTML dashboard (default results/dashboard.html)."
     );
     std::process::exit(2);
 }
 
-/// Discovers `BENCH_*.json` files directly in `dir`, sorted by file name
-/// (the `NNNN` zero-padding makes that chronological).
+/// Discovers the checked-in baselines `BENCH_<digits>.json` directly in
+/// `dir`, sorted by file name (the `NNNN` zero-padding makes that
+/// chronological). Other `BENCH_*.json` files, such as benchsim's default
+/// output `BENCH_current.json`, are not baselines and are skipped.
 pub fn discover_benches(dir: &Path) -> Vec<PathBuf> {
     let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(|e| e.ok())
                 .map(|e| e.path())
                 .filter(|p| {
-                    p.file_name().is_some_and(|n| {
-                        let n = n.to_string_lossy();
-                        n.starts_with("BENCH_") && n.ends_with(".json")
-                    })
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .and_then(|n| n.strip_prefix("BENCH_"))
+                        .and_then(|n| n.strip_suffix(".json"))
+                        .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
                 })
                 .collect()
         })
@@ -78,7 +82,7 @@ pub fn build_dashboard(runs_dir: &Path, bench_dir: &Path) -> String {
     render_dashboard(&manifests, &benches)
 }
 
-/// Entry point of the `report` bin (shared by the root-package shim).
+/// Entry point of the `report` bin.
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut runs = PathBuf::from("results/runs");
@@ -127,6 +131,8 @@ mod tests {
             "BENCH_0001.json",
             "other.json",
             "BENCH_x.txt",
+            "BENCH_current.json",
+            "BENCH_profiled.json",
         ] {
             std::fs::write(dir.join(n), "{}").unwrap();
         }

@@ -1,12 +1,11 @@
 //! Structured observability for the simulator: a zero-cost-when-disabled
 //! event trace, a metrics registry, per-lock contention statistics with a
-//! starvation watchdog, post-hoc blocking-chain analysis, an HTML report
-//! renderer, and host-side self-observability (span profiler + allocation
-//! telemetry) for the simulator's own performance.
+//! starvation watchdog, post-hoc blocking-chain analysis, and host-side
+//! self-observability (span profiler + allocation telemetry) for the
+//! simulator's own performance.
 
 pub mod alloc;
 pub mod chain;
-pub mod html;
 pub mod lockstat;
 pub mod metrics;
 pub mod prof;
@@ -17,7 +16,6 @@ pub mod tracer;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use chain::{blocking_chains, render_chains, ChainLink, LockChain};
-pub use html::{render_html, HtmlSeries};
 pub use lockstat::{FlagOutcome, LockStat, LockStats, StarvationFlag};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prof::{ProfileReport, Span, SpanRow};

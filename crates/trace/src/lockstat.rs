@@ -190,11 +190,6 @@ impl LockStats {
         self.enabled
     }
 
-    /// The configured watchdog threshold, if armed.
-    pub fn watchdog_cycles(&self) -> Option<u64> {
-        self.watchdog
-    }
-
     /// A thread enqueued on `lock`.
     pub fn on_request(&mut self, lock: u64, thread: u32, write: bool, now: u64) {
         if !self.enabled {
