@@ -524,14 +524,6 @@ pub fn trend_table(history: &[(String, BenchReport)], cur: &BenchReport) -> Tabl
     t
 }
 
-/// Finds the latest checked-in trajectory baseline (`BENCH_<digits>.json`)
-/// in `dir`; [`locksim_report::discover_benches`] skips non-numbered files
-/// such as `BENCH_current.json`, so a previous uncommitted run never
-/// becomes the gate.
-pub fn latest_numbered_baseline(dir: &std::path::Path) -> Option<PathBuf> {
-    locksim_report::discover_benches(dir).pop()
-}
-
 /// Renders the measured suite as the bin's stdout table.
 pub fn report_table(r: &BenchReport) -> Table {
     let mut t = Table::new(
@@ -649,7 +641,7 @@ pub fn cli_main() {
     };
     let mut auto_discovered = false;
     if baselines.is_empty() && !extras.contains_key("--no-baseline") {
-        match latest_numbered_baseline(std::path::Path::new(".")) {
+        match locksim_report::discover_benches(std::path::Path::new(".")).pop() {
             Some(p) => {
                 eprintln!("benchsim: auto-discovered baseline {}", p.display());
                 baselines.push(p);

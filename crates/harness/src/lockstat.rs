@@ -18,6 +18,8 @@
 //! the writer's wait bounded and must not flag either, at software-lock
 //! (not LCU) handoff cost.
 
+use std::collections::BTreeMap;
+
 use locksim_machine::{
     blocking_chains, render_chains, LockChain, LockStats, StarvationFlag, World,
 };
@@ -257,19 +259,32 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
 
 /// Entry point of the `lockstat` bin: parses flags, runs the SSB-vs-LCU
 /// starvation contrast, and emits the tables, text reports and CSVs.
+/// The flags `lockstat` takes beyond the shared observability options.
+const FLAGS: [obs::BinFlag; 2] = [
+    obs::BinFlag {
+        name: "--quick",
+        takes_value: false,
+    },
+    obs::BinFlag {
+        name: "--watchdog-cycles",
+        takes_value: true,
+    },
+];
+
+/// The watchdog threshold the bin's flags ask for: `--watchdog-cycles`, or
+/// [`DEFAULT_WATCHDOG_CYCLES`] when it is absent.
+fn watchdog_cycles(extras: &BTreeMap<&'static str, String>) -> Result<u64, String> {
+    match extras.get("--watchdog-cycles") {
+        None => Ok(DEFAULT_WATCHDOG_CYCLES),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--watchdog-cycles: invalid count {v:?}")),
+    }
+}
+
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [
-        obs::BinFlag {
-            name: "--quick",
-            takes_value: false,
-        },
-        obs::BinFlag {
-            name: "--watchdog-cycles",
-            takes_value: true,
-        },
-    ];
-    let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
+    let (opts, extras) = match obs::parse_bin_cli(&args, &FLAGS) {
         Ok(parsed) => parsed,
         Err(msg) => usage_exit(&msg),
     };
@@ -277,11 +292,7 @@ pub fn cli_main() {
         std::env::set_var("LOCKSIM_QUICK", "1");
     }
     let mut cfg = StarvationCfg::default_scaled();
-    if let Some(v) = extras.get("--watchdog-cycles") {
-        cfg.watchdog_cycles = v
-            .parse()
-            .unwrap_or_else(|_| usage_exit(&format!("--watchdog-cycles: invalid count {v:?}")));
-    }
+    cfg.watchdog_cycles = watchdog_cycles(&extras).unwrap_or_else(|msg| usage_exit(&msg));
     obs::apply_opts(&opts);
 
     let runs = [
@@ -303,4 +314,23 @@ fn usage_exit(msg: &str) -> ! {
          [--trace-cap <records>] [--self-profile <path>]"
     );
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<u64, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let (_, extras) = obs::parse_bin_cli(&args, &FLAGS)?;
+        watchdog_cycles(&extras)
+    }
+
+    #[test]
+    fn watchdog_cycles_flag_sets_the_threshold() {
+        assert_eq!(parse(&["--watchdog-cycles", "25000"]), Ok(25_000));
+        assert_eq!(parse(&["--quick"]), Ok(DEFAULT_WATCHDOG_CYCLES));
+        assert!(parse(&["--watchdog-cycles", "soon"]).is_err());
+        assert!(parse(&["--watchdog-cycles"]).is_err());
+    }
 }

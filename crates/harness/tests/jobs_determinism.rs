@@ -4,9 +4,9 @@
 //! Each sweep job builds its own world from a fixed seed and the sweep
 //! runner merges observability in canonical job order, so worker count
 //! (and scheduling) must be invisible in the results: stdout tables,
-//! verdict CSVs, HTML artifacts, metrics CSVs, corpus entries, and run
-//! manifests. stderr is exempt — progress lines from worker threads
-//! interleave with the main thread's emission notes.
+//! verdict CSVs, metrics CSVs, corpus entries, and run manifests. stderr
+//! is exempt — progress lines from worker threads interleave with the main
+//! thread's emission notes.
 //!
 //! The host here may have a single core; `--jobs 2` still spawns two real
 //! worker threads (timesliced), so the cross-thread capture/merge path is
